@@ -4,15 +4,39 @@
 //! one-cycle circuit-switched router millions of times: Monte-Carlo
 //! estimation of `PA(r)` (Eq. 4), MIMD resubmission runs (Section 4), and
 //! RA-EDN permutation scheduling (Section 5) all hammer the same per-cycle
-//! hot path. The free functions in [`crate::routing`] rebuild every
-//! buffer from scratch on each call; [`RoutingEngine`] is the build-once
-//! alternative: it owns the wired [`EdnTopology`] *and* all per-cycle
-//! scratch state, so [`RoutingEngine::route`] performs **zero heap
-//! allocations in steady state** (after the first few cycles have grown
-//! the buffers to their high-water marks). The arbiter parameter is
-//! generic (`A: Arbiter + ?Sized`), so callers holding a concrete policy
-//! get fully monomorphized dispatch; the simulators in `edn-sim` pass a
+//! hot path. [`RoutingEngine`] is built once: it owns the wired
+//! [`EdnTopology`] *and* all per-cycle scratch state, so
+//! [`RoutingEngine::route`] performs **zero heap allocations in steady
+//! state** (after the first few cycles have grown the per-switch buffers
+//! to their high-water marks). The arbiter parameter is generic
+//! (`A: Arbiter + ?Sized`), so callers holding a concrete policy get fully
+//! monomorphized dispatch; the simulators in `edn-sim` pass a
 //! runtime-selected `&mut dyn Arbiter` through the same API.
+//!
+//! # The traversal
+//!
+//! Every stage boundary is an occupancy bitmap over its lines (one bit per
+//! line, `u64` words) plus a line-indexed `[source, tag]` slot array, both
+//! double-buffered between consecutive stages. A stage scans the set bits
+//! of its input boundary in ascending order. Lines `switch * a + port`
+//! make that exactly the `(switch, port)` order in which arbitration
+//! must visit requests, so nothing is ever sorted. Each switch's live
+//! ports are peeled off the occupancy words as one port mask (`a <= 64`)
+//! or a run of whole words (`a > 64`). Its buckets are arbitrated in
+//! ascending order and each winner is written onto the next boundary
+//! through the compiled interstage table. Switch, port, bucket and exit
+//! are per-stage shifts and masks, because every parameter is a power of
+//! two. Words are zeroed as they are consumed, so a stage costs
+//! `O(lines / 64 + live requests)`: a session at 10% occupancy pays a
+//! word scan, not per-line slot work. Every request's fate lands in
+//! per-source bitmaps, and walking them emits `delivered` and `blocked`
+//! already sorted by source.
+//!
+//! With a static arbiter ([`Arbiter::is_static`]) on a healthy fabric
+//! and no probe, a contender wins iff fewer than `c` lower ports of its
+//! switch share its bucket, so grants come from per-bucket ranks without
+//! `select` calls. Every other combination calls `select` and `advance`
+//! in exactly the order the reference does.
 //!
 //! The engine is the oracle-checked replacement, not a fork: property
 //! tests assert its outcomes are bit-identical to the pre-engine
@@ -114,6 +138,9 @@ impl BatchOutcomeView {
 /// Compile-time fault dispatch: the healthy-fabric path must not pay for
 /// per-wire fault lookups.
 trait FaultView {
+    /// `true` if no wire can be disabled.
+    const HEALTHY: bool = false;
+
     /// `true` if the stage-`stage` exit line `wire` is usable.
     fn wire_ok(&self, stage: u32, wire: u64) -> bool;
 }
@@ -122,6 +149,8 @@ trait FaultView {
 struct NoFaults;
 
 impl FaultView for NoFaults {
+    const HEALTHY: bool = true;
+
     #[inline(always)]
     fn wire_ok(&self, _stage: u32, _wire: u64) -> bool {
         true
@@ -135,36 +164,125 @@ impl FaultView for &FaultSet {
     }
 }
 
-/// A build-once router: the wired fabric plus every per-cycle buffer,
-/// reused across calls.
-///
-/// Construction wires the topology and sizes the scratch arena; after a
-/// few warm-up cycles at a given load every buffer has reached its
-/// high-water capacity and [`RoutingEngine::route`] no longer touches the
-/// allocator. The routing semantics — arbitration order, panic behaviour,
-/// outcome contents — are exactly those of [`crate::route_batch`] /
-/// [`crate::route_batch_faulty`] (asserted bit-for-bit by the
-/// `engine_equivalence` property tests).
+/// Exclusive upper bound on every line, source and tag the traversal
+/// stores: slots and fates are `u32`.
+const MAX_LINES: u64 = 1 << 32;
+
+/// The set bits of one bitmap word, ascending.
+struct SetBits(u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
+/// The requests standing on one stage boundary, indexed by line.
 #[derive(Debug)]
-pub struct RoutingEngine {
-    topology: EdnTopology,
-    /// The compiled interstage tables, shared by reference: engines
-    /// built from one handle ([`RoutingEngine::with_wiring`]) borrow a
-    /// single physical table instead of owning per-instance copies.
-    wiring: Arc<CompiledWiring>,
-    /// Duplicate-source detector: `seen[s] == epoch` iff source `s`
-    /// appeared in the current batch. Epoch stamping makes clearing free;
-    /// the buffer is wiped only when the epoch counter wraps.
-    seen: Vec<u32>,
-    epoch: u32,
-    /// Requests still alive, as `(request index, current line)`.
-    active: Vec<(usize, u64)>,
-    next: Vec<(usize, u64)>,
+struct Boundary {
+    /// Bit `line % 64` of word `line / 64` is set iff `line` carries a
+    /// request. The traversal zeroes each word as it consumes it, so a
+    /// boundary is all-zero again once its stage has been routed.
+    occupied: Vec<u64>,
+    /// `[source, tag]` of the request on each occupied line; stale (and
+    /// never read) elsewhere.
+    slots: Vec<[u32; 2]>,
+}
+
+impl Boundary {
+    /// A boundary of `lines` lines, zeroed by the allocator: pages a
+    /// sparse load never touches are never made resident.
+    fn new(lines: usize) -> Self {
+        Boundary {
+            occupied: vec![0; lines.div_ceil(64)],
+            slots: vec![[0; 2]; lines],
+        }
+    }
+
+    #[inline(always)]
+    fn place(&mut self, line: usize, source: u32, tag: u32) {
+        self.occupied[line >> 6] |= 1 << (line & 63);
+        self.slots[line] = [source, tag];
+    }
+}
+
+/// The live ports of one switch: occupancy masks (port `64 * i + bit` of
+/// `masks[i]`) over the switch's `[source, tag]` slot row.
+struct Switch<'a> {
+    index: u64,
+    masks: &'a [u64],
+    row: &'a [[u32; 2]],
+}
+
+impl Switch<'_> {
+    /// Calls `f(port, source, tag)` for every live port, ascending.
+    #[inline(always)]
+    fn for_each(&self, mut f: impl FnMut(usize, u32, u32)) {
+        for (i, &mask) in self.masks.iter().enumerate() {
+            for bit in SetBits(mask) {
+                let port = i << 6 | bit;
+                let [source, tag] = self.row[port];
+                f(port, source, tag);
+            }
+        }
+    }
+}
+
+/// Per-stage constants hoisted out of the traversal loop. Every
+/// parameter is a power of two, so switch, port, bucket and exit are
+/// shifts and masks. The crossbar stage is the degenerate case of one
+/// wire per bucket, `c` buckets per switch, and no table.
+struct StageShape<'a, F> {
+    stage: u32,
+    /// `true` for the final crossbar stage (`l + 1`).
+    crossbar: bool,
+    /// `true` when grants need no `select` call: the arbiter is static
+    /// ([`Arbiter::is_static`]) and the fabric healthy, so a contender
+    /// wins iff fewer than `c` lower ports of its switch share its bucket.
+    static_grants: bool,
+    /// `log2` of the ports per switch.
+    port_bits: u32,
+    /// The bucket is `(tag >> digit_shift) & digit_mask`.
+    digit_shift: u32,
+    digit_mask: u64,
+    /// `log2` of the wires per bucket, and of the wires per switch: the
+    /// exit line is `switch << exit_bits | bucket << width_bits | k`.
+    width_bits: u32,
+    exit_bits: u32,
+    /// The interstage table (empty at the crossbar).
+    lut: &'a [u32],
+    faults: &'a F,
+}
+
+impl<F> StageShape<'_, F> {
+    #[inline(always)]
+    fn bucket(&self, tag: u32) -> u64 {
+        (u64::from(tag) >> self.digit_shift) & self.digit_mask
+    }
+}
+
+/// Per-switch arbitration buffers plus the per-source fates of the
+/// cycle.
+#[derive(Debug)]
+struct Scratch {
     /// Per-bucket contender ports of the switch being arbitrated.
     contenders: Vec<Vec<usize>>,
-    /// Buckets of the current switch holding at least one contender.
+    /// Bitmap of the buckets holding at least one contender; scanning it
+    /// visits them in ascending order, as `Hyperbar::route` does.
     used_buckets: Vec<u64>,
-    /// Per-port wire grant of the current switch (`None` = lost or idle).
+    /// Per-bucket count of the contenders granted so far, on the
+    /// static-grant path; back to zero after every switch.
+    ranks: Vec<usize>,
+    /// Per-port wire grant (within the switch) of the current switch
+    /// (`None` = lost or idle).
     port_wire: Vec<Option<u64>>,
     /// Per-bucket losing-contender count of the switch most recently
     /// arbitrated; written only when a probe is enabled, consumed by the
@@ -175,6 +293,225 @@ pub struct RoutingEngine {
     /// the loser walk consumes it to tell `event_fault_drop` from
     /// `event_block`. Probe-enabled paths only.
     bucket_fault_quota: Vec<usize>,
+    /// Per-source bitmaps of the sources delivered and blocked this
+    /// cycle; walking their set bits emits both outcome lists already
+    /// sorted by source.
+    delivered: Vec<u64>,
+    blocked: Vec<u64>,
+    /// Per source: the output it reached, or the stage that blocked it.
+    fate: Vec<u32>,
+}
+
+impl Scratch {
+    /// Clears every bit a pass that unwound part-way may have left.
+    fn wipe(&mut self) {
+        self.contenders.iter_mut().for_each(Vec::clear);
+        self.used_buckets.fill(0);
+        self.ranks.fill(0);
+        self.delivered.fill(0);
+        self.blocked.fill(0);
+    }
+
+    /// Moves a request granted stage exit `exit` onto `next` or, at the
+    /// crossbar, delivers it to output `exit`.
+    #[inline(always)]
+    fn grant<F, P: Probe>(
+        &mut self,
+        shape: &StageShape<'_, F>,
+        exit: u64,
+        [source, tag]: [u32; 2],
+        next: &mut Boundary,
+        probe: &mut P,
+    ) {
+        if P::ENABLED {
+            probe.wire_granted(shape.stage, exit);
+            if shape.crossbar {
+                probe.event_deliver(u64::from(source), u64::from(tag), exit);
+            } else {
+                probe.event_hop(shape.stage, u64::from(source), u64::from(tag), exit);
+            }
+        }
+        if shape.crossbar {
+            let at = source as usize;
+            self.delivered[at >> 6] |= 1 << (at & 63);
+            self.fate[at] = u32::try_from(exit).expect("outputs are bounded by MAX_LINES");
+        } else {
+            next.place(shape.lut[exit as usize] as usize, source, tag);
+        }
+    }
+
+    /// Records that `source` was blocked at `stage`.
+    #[inline(always)]
+    fn block(&mut self, stage: u32, source: u32) {
+        let at = source as usize;
+        self.blocked[at >> 6] |= 1 << (at & 63);
+        self.fate[at] = stage;
+    }
+
+    /// Routes one switch: arbitrates its buckets in ascending order,
+    /// moves the winners on (see [`Scratch::grant`]) and records the
+    /// losers' fates, both in port order. Returns the winner count.
+    // edn-lint: hot-path
+    #[inline(always)]
+    fn route_switch<F: FaultView, A: Arbiter + ?Sized, P: Probe>(
+        &mut self,
+        shape: &StageShape<'_, F>,
+        switch: &Switch<'_>,
+        next: &mut Boundary,
+        arbiter: &mut A,
+        probe: &mut P,
+    ) -> usize {
+        let stage = shape.stage;
+        let width = 1u64 << shape.width_bits;
+        let switch_base = switch.index << shape.exit_bits;
+        let mut winners = 0;
+        if shape.static_grants && !P::ENABLED {
+            // `select` would keep each bucket's `c` lowest ports, and
+            // `advance` is a no-op: rank the contenders instead.
+            switch.for_each(|_, source, tag| {
+                let bucket = shape.bucket(tag);
+                let rank = self.ranks[bucket as usize];
+                self.ranks[bucket as usize] = rank + 1;
+                if (rank as u64) < width {
+                    winners += 1;
+                    let exit = switch_base | bucket << shape.width_bits | rank as u64;
+                    self.grant(shape, exit, [source, tag], next, probe);
+                } else {
+                    self.block(stage, source);
+                }
+            });
+            switch.for_each(|_, _, tag| self.ranks[shape.bucket(tag) as usize] = 0);
+            return winners;
+        }
+
+        switch.for_each(|port, _, tag| {
+            self.port_wire[port] = None;
+            let bucket = shape.bucket(tag);
+            self.used_buckets[(bucket >> 6) as usize] |= 1 << (bucket & 63);
+            self.contenders[bucket as usize].push(port);
+        });
+        for w in 0..=(shape.digit_mask >> 6) as usize {
+            for bit in SetBits(std::mem::take(&mut self.used_buckets[w])) {
+                let bucket = w << 6 | bit;
+                let base = (bucket as u64) << shape.width_bits;
+                let contenders = &mut self.contenders[bucket];
+                // The crossbar's wires are the network outputs: always healthy.
+                let healthy = (0..width).filter(|&k| {
+                    shape.crossbar || shape.faults.wire_ok(stage, switch_base | base | k)
+                });
+                // edn-lint: allow(hot-path-alloc) -- Range+filter iterator clone is a Copy of two u64s, no heap
+                let capacity = healthy.clone().count();
+                let offered = contenders.len();
+                if P::ENABLED {
+                    probe.arbitrated(stage, offered, capacity, width as usize);
+                }
+                arbiter.select(contenders, capacity);
+                debug_assert!(contenders.len() <= capacity);
+                if P::ENABLED {
+                    self.bucket_losers[bucket] = offered - contenders.len();
+                    self.bucket_fault_quota[bucket] =
+                        offered.min(width as usize) - offered.min(capacity);
+                }
+                for (&port, k) in contenders.iter().zip(healthy) {
+                    self.port_wire[port] = Some(base | k);
+                }
+                contenders.clear();
+            }
+        }
+        arbiter.advance();
+
+        switch.for_each(|port, source, tag| match self.port_wire[port] {
+            Some(wire) => {
+                winners += 1;
+                self.grant(shape, switch_base | wire, [source, tag], next, probe);
+            }
+            None => {
+                if P::ENABLED {
+                    probe.request_lost(stage);
+                    let bucket = shape.bucket(tag) as usize;
+                    // Attribute the bucket's fault-induced drop quota to
+                    // its first losers in port order; the rest lost to
+                    // contention.
+                    if self.bucket_fault_quota[bucket] > 0 {
+                        self.bucket_fault_quota[bucket] -= 1;
+                        probe.event_fault_drop(stage, u64::from(source), u64::from(tag));
+                    } else {
+                        probe.event_block(
+                            stage,
+                            u64::from(source),
+                            u64::from(tag),
+                            self.bucket_losers[bucket],
+                        );
+                    }
+                }
+                self.block(stage, source);
+            }
+        });
+        winners
+    }
+
+    /// Walks the fate bitmaps, emitting `delivered` and `blocked` sorted
+    /// by source, and zeroes them for the next cycle.
+    fn emit(
+        &mut self,
+        crossbar_stage: u32,
+        delivered: &mut Vec<(u64, u64)>,
+        blocked: &mut Vec<(u64, BlockReason)>,
+    ) {
+        for w in 0..self.delivered.len() {
+            let (won, lost) = (self.delivered[w], self.blocked[w]);
+            if won | lost == 0 {
+                continue;
+            }
+            self.delivered[w] = 0;
+            self.blocked[w] = 0;
+            for bit in SetBits(won) {
+                let source = w << 6 | bit;
+                delivered.push((source as u64, u64::from(self.fate[source])));
+            }
+            for bit in SetBits(lost) {
+                let source = w << 6 | bit;
+                let reason = match self.fate[source] {
+                    stage if stage == crossbar_stage => BlockReason::CrossbarOutput,
+                    stage => BlockReason::HyperbarStage(stage),
+                };
+                blocked.push((source as u64, reason));
+            }
+        }
+    }
+}
+
+/// A build-once router: the wired fabric plus every per-cycle buffer,
+/// reused across calls.
+///
+/// Each stage boundary is a dense occupancy bitmap plus a line-indexed
+/// `[source, tag]` slot array, double-buffered between consecutive
+/// stages; a stage costs `O(lines / 64 + live requests)` and nothing is
+/// ever sorted (see the [module docs](self) for the traversal).
+///
+/// Construction sizes every dense buffer (zeroed by the allocator, so
+/// untouched pages stay non-resident); after a few warm-up cycles the
+/// remaining per-switch buffers have reached their high-water capacity
+/// and [`RoutingEngine::route`] no longer touches the allocator. The
+/// routing semantics — arbitration call sequence, probe event order,
+/// panic behaviour, outcome contents — are exactly those of
+/// [`crate::reference`] (asserted bit-for-bit by the
+/// `engine_equivalence` property tests).
+#[derive(Debug)]
+pub struct RoutingEngine {
+    topology: EdnTopology,
+    /// The compiled interstage tables, shared by reference: engines
+    /// built from one handle ([`RoutingEngine::with_wiring`]) borrow a
+    /// single physical table instead of owning per-instance copies.
+    wiring: Arc<CompiledWiring>,
+    /// The boundary entering the stage being routed, and the one its
+    /// winners land on; swapped after every stage.
+    lines: Boundary,
+    next_lines: Boundary,
+    scratch: Scratch,
+    /// `false` while a pass is in flight: a pass that unwound (a panic on
+    /// an invalid batch) leaves bits behind for the next pass to wipe.
+    clean: bool,
     /// Scratch for reorder-compensated routing.
     reordered: Vec<RouteRequest>,
     /// The most recent retirement order routed and its inverse, so
@@ -216,21 +553,35 @@ impl RoutingEngine {
             topology.params()
         );
         let p = *topology.params();
+        let lines = (1..=p.l() + 1)
+            .map(|stage| p.wires_before_stage(stage))
+            .max()
+            .expect("at least one stage");
+        assert!(
+            lines <= MAX_LINES && p.outputs() <= MAX_LINES,
+            "{p} has {lines} lines on a stage boundary; the engine stores lines as u32"
+        );
+        let lines = lines as usize;
         let inputs = p.inputs() as usize;
-        let ports = p.a().max(p.c()) as usize;
+        let ports = p.a() as usize;
         let buckets = p.b().max(p.c()) as usize;
         RoutingEngine {
             topology,
             wiring,
-            seen: vec![0; inputs],
-            epoch: 0,
-            active: Vec::with_capacity(inputs),
-            next: Vec::with_capacity(inputs),
-            contenders: vec![Vec::new(); buckets],
-            used_buckets: Vec::with_capacity(buckets),
-            port_wire: vec![None; ports],
-            bucket_losers: vec![0; buckets],
-            bucket_fault_quota: vec![0; buckets],
+            lines: Boundary::new(lines),
+            next_lines: Boundary::new(lines),
+            scratch: Scratch {
+                contenders: vec![Vec::new(); buckets],
+                used_buckets: vec![0; buckets.div_ceil(64)],
+                ranks: vec![0; buckets],
+                port_wire: vec![None; ports],
+                bucket_losers: vec![0; buckets],
+                bucket_fault_quota: vec![0; buckets],
+                delivered: vec![0; inputs.div_ceil(64)],
+                blocked: vec![0; inputs.div_ceil(64)],
+                fate: vec![0; inputs],
+            },
+            clean: true,
             reordered: Vec::new(),
             order_cache: None,
             outcome: BatchOutcomeView {
@@ -276,8 +627,9 @@ impl RoutingEngine {
     /// Panics if two requests share a source (an input wire carries one
     /// request per cycle), or if any source or tag is out of range. These
     /// are programming errors in workload construction, not runtime
-    /// conditions; the duplicate check costs one epoch-stamped array probe
-    /// per request instead of the `HashSet` insert the legacy path paid.
+    /// conditions; the duplicate check is one bit test on the input
+    /// boundary's occupancy bitmap instead of the `HashSet` insert the
+    /// legacy path paid.
     pub fn route<A: Arbiter + ?Sized>(
         &mut self,
         requests: &[RouteRequest],
@@ -383,39 +735,42 @@ impl RoutingEngine {
         for (_, output) in &mut self.outcome.delivered {
             *output = inverse.apply(*output);
         }
-        self.outcome.delivered.sort_unstable();
+        // Sources are unique and `delivered` arrives sorted by source, so
+        // remapping outputs cannot reorder it.
+        debug_assert!(self.outcome.delivered.is_sorted());
         &self.outcome
     }
 
-    /// Validates the batch and stamps the duplicate-source epoch buffer.
-    fn validate(&mut self, requests: &[RouteRequest]) {
-        let p = *self.topology.params();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        for request in requests {
-            assert!(
-                request.source < p.inputs(),
-                "source {} out of range (inputs = {})",
-                request.source,
-                p.inputs()
-            );
-            assert!(
-                request.tag < p.outputs(),
-                "tag {} out of range (outputs = {})",
-                request.tag,
-                p.outputs()
-            );
-            let slot = &mut self.seen[request.source as usize];
-            assert!(
-                *slot != self.epoch,
-                "duplicate request on source {}",
-                request.source
-            );
-            *slot = self.epoch;
-        }
+    /// Checks one request and places it on its input line.
+    ///
+    /// # Panics
+    ///
+    /// On an out-of-range source or tag, or a source already placed this
+    /// cycle (line `source` of the input boundary is occupied).
+    #[inline(always)]
+    fn inject(&mut self, request: &RouteRequest) {
+        let p = self.topology.params();
+        assert!(
+            request.source < p.inputs(),
+            "source {} out of range (inputs = {})",
+            request.source,
+            p.inputs()
+        );
+        assert!(
+            request.tag < p.outputs(),
+            "tag {} out of range (outputs = {})",
+            request.tag,
+            p.outputs()
+        );
+        let line = request.source as usize;
+        assert!(
+            self.lines.occupied[line >> 6] & (1 << (line & 63)) == 0,
+            "duplicate request on source {}",
+            request.source
+        );
+        let source = u32::try_from(request.source).expect("inputs are bounded by MAX_LINES");
+        let tag = u32::try_from(request.tag).expect("outputs are bounded by MAX_LINES");
+        self.lines.place(line, source, tag);
     }
 
     // edn-lint: hot-path
@@ -426,7 +781,15 @@ impl RoutingEngine {
         arbiter: &mut A,
         probe: &mut P,
     ) {
-        self.validate(requests);
+        if !self.clean {
+            self.lines.occupied.fill(0);
+            self.next_lines.occupied.fill(0);
+            self.scratch.wipe();
+        }
+        self.clean = false;
+        for request in requests {
+            self.inject(request);
+        }
         let p = *self.topology.params();
         if P::ENABLED {
             probe.cycle_start(requests.len());
@@ -440,207 +803,102 @@ impl RoutingEngine {
         self.outcome.offered = requests.len();
         self.outcome.survivors.push(requests.len());
 
-        self.active.clear();
-        self.active
-            .extend(requests.iter().enumerate().map(|(idx, r)| (idx, r.source)));
-
-        for stage in 1..=p.l() {
-            self.active.sort_unstable_by_key(|&(_, line)| line);
-            self.next.clear();
-            // One load against the compiled table replaces the
-            // shift/rotate math of `Gamma::apply` per winner.
-            let gamma_lut = self.wiring.stage_lut(stage);
-            let mut span_start = 0usize;
-            while span_start < self.active.len() {
-                let switch = self.active[span_start].1 / p.a();
-                let mut span_end = span_start + 1;
-                while span_end < self.active.len() && self.active[span_end].1 / p.a() == switch {
-                    span_end += 1;
+        let static_grants = F::HEALTHY && arbiter.is_static();
+        for stage in 1..=p.l() + 1 {
+            let crossbar = stage > p.l();
+            let shape = if crossbar {
+                StageShape {
+                    stage,
+                    crossbar,
+                    port_bits: p.log2_c(),
+                    digit_shift: 0,
+                    digit_mask: p.c() - 1,
+                    width_bits: 0,
+                    exit_bits: p.log2_c(),
+                    lut: &[],
+                    faults: &faults,
+                    static_grants,
                 }
-                let span = &self.active[span_start..span_end];
-
-                // Collect contenders per bucket, ports ascending (the span
-                // is sorted by line, hence by port within the switch).
-                self.used_buckets.clear();
-                for &(req, line) in span {
-                    let port = (line % p.a()) as usize;
-                    self.port_wire[port] = None;
-                    let bucket = p.tag_digit_for_stage(requests[req].tag, stage);
-                    let contenders = &mut self.contenders[bucket as usize];
-                    if contenders.is_empty() {
-                        self.used_buckets.push(bucket);
-                    }
-                    contenders.push(port);
+            } else {
+                StageShape {
+                    stage,
+                    crossbar,
+                    port_bits: p.log2_a(),
+                    digit_shift: p.log2_c() + (p.l() - stage) * p.log2_b(),
+                    digit_mask: p.b() - 1,
+                    width_bits: p.log2_c(),
+                    exit_bits: p.log2_b() + p.log2_c(),
+                    // One load against the compiled table replaces the
+                    // shift/rotate math of `Gamma::apply` per winner.
+                    lut: self.wiring.stage_lut(stage),
+                    faults: &faults,
+                    static_grants,
                 }
-                // Arbitrate bucket by bucket in ascending bucket order, as
-                // `Hyperbar::route` does, so stateful arbiters observe the
-                // identical call sequence.
-                self.used_buckets.sort_unstable();
-                for &bucket in &self.used_buckets {
-                    let base = bucket * p.c();
-                    let contenders = &mut self.contenders[bucket as usize];
-                    let switch_base = switch * (p.b() * p.c());
-                    let healthy =
-                        (0..p.c()).filter(|&k| faults.wire_ok(stage, switch_base + base + k));
-                    // edn-lint: allow(hot-path-alloc) -- Range+filter iterator clone is a Copy of two u64s, no heap
-                    let capacity = healthy.clone().count();
-                    let offered = contenders.len();
-                    if P::ENABLED {
-                        probe.arbitrated(stage, offered, capacity, p.c() as usize);
-                    }
-                    arbiter.select(contenders, capacity);
-                    debug_assert!(contenders.len() <= capacity);
-                    if P::ENABLED {
-                        self.bucket_losers[bucket as usize] = offered - contenders.len();
-                        self.bucket_fault_quota[bucket as usize] =
-                            offered.min(p.c() as usize) - offered.min(capacity);
-                    }
-                    for (&port, wire) in contenders.iter().zip(healthy) {
-                        self.port_wire[port] = Some(base + wire);
-                    }
-                    contenders.clear();
-                }
-                arbiter.advance();
-
-                // Advance winners through the interstage permutation; record
-                // losers in port order (matching the legacy path).
-                for &(req, line) in span {
-                    let port = (line % p.a()) as usize;
-                    match self.port_wire[port] {
-                        Some(wire) => {
-                            let exit = switch * (p.b() * p.c()) + wire;
-                            if P::ENABLED {
-                                probe.wire_granted(stage, exit);
-                                probe.event_hop(
-                                    stage,
-                                    requests[req].source,
-                                    requests[req].tag,
-                                    exit,
-                                );
-                            }
-                            self.next.push((req, gamma_lut[exit as usize] as u64));
-                        }
-                        None => {
-                            if P::ENABLED {
-                                probe.request_lost(stage);
-                                let bucket =
-                                    p.tag_digit_for_stage(requests[req].tag, stage) as usize;
-                                // Attribute the bucket's fault-induced drop
-                                // quota to its first losers in port order;
-                                // the rest lost to contention.
-                                if self.bucket_fault_quota[bucket] > 0 {
-                                    self.bucket_fault_quota[bucket] -= 1;
-                                    probe.event_fault_drop(
-                                        stage,
-                                        requests[req].source,
-                                        requests[req].tag,
-                                    );
-                                } else {
-                                    probe.event_block(
-                                        stage,
-                                        requests[req].source,
-                                        requests[req].tag,
-                                        self.bucket_losers[bucket],
-                                    );
-                                }
-                            }
-                            self.outcome
-                                .blocked
-                                .push((requests[req].source, BlockReason::HyperbarStage(stage)));
-                        }
+            };
+            let ports = 1usize << shape.port_bits;
+            let words = p.wires_before_stage(stage).div_ceil(64) as usize;
+            let mut winners = 0;
+            if ports <= 64 {
+                // Each occupancy word holds whole switches: peel them off
+                // one port mask at a time.
+                let all = if ports == 64 { !0 } else { (1u64 << ports) - 1 };
+                for w in 0..words {
+                    let mut bits = std::mem::take(&mut self.lines.occupied[w]);
+                    while bits != 0 {
+                        let shift = bits.trailing_zeros() as usize & !(ports - 1);
+                        let first = w << 6 | shift;
+                        let switch = Switch {
+                            index: (first >> shape.port_bits) as u64,
+                            masks: &[(bits >> shift) & all],
+                            row: &self.lines.slots[first..first + ports],
+                        };
+                        bits &= !(all << shift);
+                        winners += self.scratch.route_switch(
+                            &shape,
+                            &switch,
+                            &mut self.next_lines,
+                            arbiter,
+                            probe,
+                        );
                     }
                 }
-                span_start = span_end;
+            } else {
+                // Each switch spans `ports / 64` whole words.
+                let occupied = &mut self.lines.occupied[..words];
+                for (index, masks) in occupied.chunks_exact_mut(ports >> 6).enumerate() {
+                    if masks.iter().all(|&mask| mask == 0) {
+                        continue;
+                    }
+                    let first = index * ports;
+                    let switch = Switch {
+                        index: index as u64,
+                        masks,
+                        row: &self.lines.slots[first..first + ports],
+                    };
+                    winners += self.scratch.route_switch(
+                        &shape,
+                        &switch,
+                        &mut self.next_lines,
+                        arbiter,
+                        probe,
+                    );
+                    masks.fill(0);
+                }
             }
-            std::mem::swap(&mut self.active, &mut self.next);
-            self.outcome.survivors.push(self.active.len());
-        }
-
-        // Final stage: c x c crossbars; the base-c digit picks the output
-        // port, every bucket has capacity 1.
-        self.active.sort_unstable_by_key(|&(_, line)| line);
-        let mut span_start = 0usize;
-        while span_start < self.active.len() {
-            let switch = self.active[span_start].1 / p.c();
-            let mut span_end = span_start + 1;
-            while span_end < self.active.len() && self.active[span_end].1 / p.c() == switch {
-                span_end += 1;
-            }
-            let span = &self.active[span_start..span_end];
-
-            self.used_buckets.clear();
-            for &(req, line) in span {
-                let port = (line % p.c()) as usize;
-                self.port_wire[port] = None;
-                let bucket = p.tag_crossbar_digit(requests[req].tag);
-                let contenders = &mut self.contenders[bucket as usize];
-                if contenders.is_empty() {
-                    self.used_buckets.push(bucket);
-                }
-                contenders.push(port);
-            }
-            self.used_buckets.sort_unstable();
-            for &bucket in &self.used_buckets {
-                let contenders = &mut self.contenders[bucket as usize];
-                let offered = contenders.len();
+            std::mem::swap(&mut self.lines, &mut self.next_lines);
+            if crossbar {
                 if P::ENABLED {
-                    probe.arbitrated(p.l() + 1, offered, 1, 1);
+                    probe.cycle_end(winners);
                 }
-                arbiter.select(contenders, 1);
-                debug_assert!(contenders.len() <= 1);
-                if P::ENABLED {
-                    self.bucket_losers[bucket as usize] = offered - contenders.len();
-                }
-                if let Some(&port) = contenders.first() {
-                    self.port_wire[port] = Some(bucket);
-                }
-                contenders.clear();
+                self.scratch.emit(
+                    stage,
+                    &mut self.outcome.delivered,
+                    &mut self.outcome.blocked,
+                );
             }
-            arbiter.advance();
-
-            for &(req, line) in span {
-                let port = (line % p.c()) as usize;
-                match self.port_wire[port] {
-                    Some(out_port) => {
-                        if P::ENABLED {
-                            probe.wire_granted(p.l() + 1, switch * p.c() + out_port);
-                            probe.event_deliver(
-                                requests[req].source,
-                                requests[req].tag,
-                                switch * p.c() + out_port,
-                            );
-                        }
-                        self.outcome
-                            .delivered
-                            .push((requests[req].source, switch * p.c() + out_port));
-                    }
-                    None => {
-                        if P::ENABLED {
-                            probe.request_lost(p.l() + 1);
-                            let bucket = p.tag_crossbar_digit(requests[req].tag) as usize;
-                            probe.event_block(
-                                p.l() + 1,
-                                requests[req].source,
-                                requests[req].tag,
-                                self.bucket_losers[bucket],
-                            );
-                        }
-                        self.outcome
-                            .blocked
-                            .push((requests[req].source, BlockReason::CrossbarOutput));
-                    }
-                }
-            }
-            span_start = span_end;
+            self.outcome.survivors.push(winners);
         }
-        if P::ENABLED {
-            probe.cycle_end(self.outcome.delivered.len());
-        }
-        self.outcome.survivors.push(self.outcome.delivered.len());
-        self.outcome.delivered.sort_unstable();
-        self.outcome
-            .blocked
-            .sort_unstable_by_key(|&(source, _)| source);
+        self.clean = true;
     }
 }
 
@@ -802,12 +1060,13 @@ mod tests {
             engine.route(&batch, &mut arbiter);
         }
         let caps = (
-            engine.active.capacity(),
-            engine.next.capacity(),
+            engine.scratch.ranks.capacity(),
+            engine.lines.slots.capacity() + engine.next_lines.slots.capacity(),
             engine.outcome.delivered.capacity(),
             engine.outcome.blocked.capacity(),
             engine.outcome.survivors.capacity(),
             engine
+                .scratch
                 .contenders
                 .iter()
                 .map(Vec::capacity)
@@ -817,12 +1076,13 @@ mod tests {
             engine.route(&batch, &mut arbiter);
         }
         let after = (
-            engine.active.capacity(),
-            engine.next.capacity(),
+            engine.scratch.ranks.capacity(),
+            engine.lines.slots.capacity() + engine.next_lines.slots.capacity(),
             engine.outcome.delivered.capacity(),
             engine.outcome.blocked.capacity(),
             engine.outcome.survivors.capacity(),
             engine
+                .scratch
                 .contenders
                 .iter()
                 .map(Vec::capacity)
@@ -837,6 +1097,27 @@ mod tests {
         let mut engine = engine(16, 4, 4, 2);
         let batch = [RouteRequest::new(1, 2), RouteRequest::new(1, 3)];
         engine.route(&batch, &mut PriorityArbiter::new());
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_no_bits_behind() {
+        // The duplicate is detected after the first requests were placed
+        // on the input boundary; the next pass must not see them.
+        let mut engine = engine(16, 4, 4, 2);
+        let p = *engine.params();
+        let rejected = [
+            RouteRequest::new(3, 7),
+            RouteRequest::new(9, 1),
+            RouteRequest::new(3, 8),
+        ];
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.route(&rejected, &mut PriorityArbiter::new());
+        }));
+        assert!(unwound.is_err());
+        let batch = uniform_batch(&p, 4, 0.5);
+        let expected = route_batch(engine.topology(), &batch, &mut PriorityArbiter::new());
+        let view = engine.route(&batch, &mut PriorityArbiter::new());
+        assert_eq!(view.to_outcome(), expected);
     }
 
     #[test]

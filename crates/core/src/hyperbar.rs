@@ -32,8 +32,10 @@ pub trait Arbiter {
     /// [`Arbiter::advance`] is a no-op. Such a policy makes the same
     /// decision in every replica, so the lane engine
     /// ([`crate::lanes::LaneEngine`]) arbitrates all 64 lanes with one
-    /// mask operation instead of per-lane `select` calls. Default:
-    /// `false` (stateful policies get the exact scalar call sequence).
+    /// mask operation instead of per-lane `select` calls, and the scalar
+    /// [`crate::RoutingEngine`] grants a healthy fabric's buckets by port
+    /// rank without calling `select` at all. Default: `false` (stateful
+    /// policies get the exact reference call sequence).
     fn is_static(&self) -> bool {
         false
     }

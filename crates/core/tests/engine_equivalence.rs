@@ -194,3 +194,111 @@ proptest! {
         prop_assert_eq!(actual.blocked(), expected.blocked());
     }
 }
+
+/// Routes `batches` in sequence through one engine and through the
+/// reference, under each arbiter kind (arbiter state carried across the
+/// sequence), on the healthy fabric and under 20% random faults.
+fn assert_matches_reference(params: EdnParams, batches: &[Vec<RouteRequest>]) {
+    let topology = EdnTopology::new(params);
+    let faults = FaultSet::random(&params, 0.2, 0xFA17);
+    for kind in 0..3 {
+        let mut engine = RoutingEngine::new(topology.clone());
+        let (mut ref_arb, mut eng_arb) = arbiter_pair(kind, 0x5EED ^ u64::from(kind));
+        let (mut ref_faulty_arb, mut eng_faulty_arb) = arbiter_pair(kind, 0xFA57);
+        for (cycle, batch) in batches.iter().enumerate() {
+            let expected = reference::route_batch(&topology, batch, ref_arb.as_mut());
+            let actual = engine.route(batch, eng_arb.as_mut()).to_outcome();
+            assert_eq!(actual, expected, "{params} arbiter {kind} cycle {cycle}");
+            let expected =
+                reference::route_batch_faulty(&topology, batch, &faults, ref_faulty_arb.as_mut());
+            let actual = engine
+                .route_faulty(batch, &faults, eng_faulty_arb.as_mut())
+                .to_outcome();
+            assert_eq!(
+                actual, expected,
+                "{params} faulty, arbiter {kind} cycle {cycle}"
+            );
+        }
+    }
+}
+
+/// Full load, then a single request on the last input line, then an
+/// empty batch, then full load again: every bitmap word must come back
+/// clean between cycles.
+fn load_sequence(params: &EdnParams, seed: u64) -> Vec<Vec<RouteRequest>> {
+    let last = vec![RouteRequest::new(params.inputs() - 1, params.outputs() - 1)];
+    vec![
+        uniform_batch(params, seed, 1.0),
+        last,
+        Vec::new(),
+        uniform_batch(params, seed + 1, 1.0),
+        uniform_batch(params, seed + 2, 0.1),
+    ]
+}
+
+#[test]
+fn wide_switches_spanning_two_bitmap_words_match_reference() {
+    // a = 128: one hyperbar switch covers two u64 occupancy words.
+    for params in [
+        EdnParams::new(128, 64, 2, 1).unwrap(),
+        EdnParams::new(128, 64, 2, 2).unwrap(),
+        // A 128-wide crossbar stage.
+        EdnParams::new(128, 2, 128, 1).unwrap(),
+    ] {
+        assert_matches_reference(params, &load_sequence(&params, 11));
+    }
+}
+
+#[test]
+fn narrow_switches_sharing_one_bitmap_word_match_reference() {
+    // a in {2, 4}: up to 32 switches share one occupancy word.
+    for params in [
+        EdnParams::new(2, 2, 1, 6).unwrap(),
+        EdnParams::new(4, 2, 2, 4).unwrap(),
+        EdnParams::new(4, 4, 1, 4).unwrap(),
+        EdnParams::new(2, 2, 2, 3).unwrap(),
+    ] {
+        assert_matches_reference(params, &load_sequence(&params, 23));
+    }
+}
+
+#[test]
+fn word_sized_switches_match_reference() {
+    // a = 32: two switches per occupancy word; a = 64: exactly one. The
+    // last shape has a 32-wide crossbar stage.
+    for params in [
+        EdnParams::new(32, 8, 4, 2).unwrap(),
+        EdnParams::new(64, 16, 4, 2).unwrap(),
+        EdnParams::new(32, 4, 32, 1).unwrap(),
+    ] {
+        assert_matches_reference(params, &load_sequence(&params, 41));
+    }
+}
+
+#[test]
+fn stage_widths_below_one_bitmap_word_match_reference() {
+    // EDN(8,2,2,3) narrows 128 -> 64 -> 32 -> 16 lines: the last two
+    // boundaries fill only part of one word. EDN(4,2,2,2) is 8 lines wide
+    // end to end.
+    for params in [
+        EdnParams::new(8, 2, 2, 3).unwrap(),
+        EdnParams::new(4, 2, 2, 2).unwrap(),
+        EdnParams::new(16, 4, 4, 1).unwrap(),
+    ] {
+        assert_matches_reference(params, &load_sequence(&params, 37));
+    }
+}
+
+#[test]
+fn full_load_on_sixty_four_thousand_ports_matches_reference() {
+    let params = EdnParams::new(16, 4, 4, 7).unwrap();
+    assert_eq!(params.inputs(), 1 << 16);
+    let topology = EdnTopology::new(params);
+    let batch = uniform_batch(&params, 5, 1.0);
+    let expected = reference::route_batch(&topology, &batch, &mut PriorityArbiter::new());
+    let mut engine = RoutingEngine::new(topology);
+    let actual = engine
+        .route(&batch, &mut PriorityArbiter::new())
+        .to_outcome();
+    assert_eq!(actual, expected);
+}

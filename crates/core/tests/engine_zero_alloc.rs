@@ -10,7 +10,11 @@
 //! cluster schedules) reuse one [`SessionState`] without touching the
 //! allocator once its buffers reached their high-water marks. The same
 //! holds with telemetry **on**: probed passes and probed sessions
-//! accumulate into a pre-sized [`StageProbe`] without allocating.
+//! accumulate into a pre-sized [`StageProbe`] without allocating. The
+//! dense traversal buffers never regrow either: a wide-switch shape
+//! (`a = 128`, one switch spanning two occupancy words) driven through a
+//! full -> sparse -> full load sequence stays allocation-free with no
+//! probe, a [`StageProbe`] and a [`TraceProbe`].
 //!
 //! This file deliberately holds a single `#[test]` so nothing else runs
 //! concurrently against the global allocation counter.
@@ -66,6 +70,17 @@ fn full_load_batch(params: &EdnParams, seed: u64) -> Vec<RouteRequest> {
     (0..params.inputs())
         .map(|s| RouteRequest::new(s, rng.gen_range(0..params.outputs())))
         .collect()
+}
+
+fn sparse_batch(params: &EdnParams, seed: u64, rate: f64) -> Vec<RouteRequest> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut batch = Vec::new();
+    for s in 0..params.inputs() {
+        if rng.gen_bool(rate) {
+            batch.push(RouteRequest::new(s, rng.gen_range(0..params.outputs())));
+        }
+    }
+    batch
 }
 
 /// One full round of multi-cycle sessions over a shared state. Every RNG
@@ -288,6 +303,48 @@ fn steady_state_routing_does_not_allocate() {
         after - before,
         0,
         "steady-state step_n()/run_to_completion() sessions must not touch the allocator"
+    );
+
+    // --- The dense traversal buffers never regrow. ---
+    // A wide-switch shape (a = 128: one switch spans two occupancy words)
+    // driven through full -> sparse -> single-request -> full load, with
+    // no probe, the StageProbe, and the TraceProbe, healthy and faulty.
+    let wide = EdnParams::new(128, 64, 2, 2).unwrap();
+    let mut engine = RoutingEngine::from_params(wide);
+    let loads = [
+        full_load_batch(&wide, 1),
+        sparse_batch(&wide, 2, 0.1),
+        vec![RouteRequest::new(wide.inputs() - 1, wide.outputs() - 1)],
+        full_load_batch(&wide, 3),
+    ];
+    let wide_faults = FaultSet::random(&wide, 0.1, 5);
+    let mut wide_probe = StageProbe::new(&wide);
+    let mut wide_trace = TraceProbe::new(
+        (wide.inputs() as usize) * (wide.l() as usize + 3),
+        TraceFilter::default(),
+    );
+    let mut before = 0;
+    for round in 0..6 {
+        // Two warm-up rounds, then four measured ones.
+        if round == 2 {
+            before = allocations();
+        }
+        for batch in &loads {
+            engine.route(batch, &mut priority);
+            engine.route(batch, &mut random);
+            engine.route(batch, &mut round_robin);
+            engine.route_faulty(batch, &wide_faults, &mut priority);
+            engine.route_probed(batch, &mut priority, &mut wide_probe);
+            wide_trace.clear();
+            engine.route_probed(batch, &mut round_robin, &mut wide_trace);
+            engine.route_faulty_probed(batch, &wide_faults, &mut random, &mut wide_trace);
+        }
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "the wide-switch engine must not allocate across full/sparse/full loads, probed or not"
     );
 
     // Sanity check on the instrument itself: allocating obviously bumps

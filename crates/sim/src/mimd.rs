@@ -98,6 +98,9 @@ struct MimdDriver<'a> {
     processors: f64,
     /// Cycles before this index are warm-up: routed but unmeasured.
     warmup: u64,
+    /// Processors with `pending[i].is_some()`, kept in step with
+    /// `pending` so sampling it costs O(1) instead of a recount.
+    waiting_now: usize,
     waiting: RunningStats,
     acceptance: RunningStats,
     offered: u64,
@@ -108,8 +111,7 @@ impl CycleDriver for MimdDriver<'_> {
     fn fill_cycle(&mut self, cycle: u64, requests: &mut Vec<RouteRequest>) {
         if cycle >= self.warmup {
             // Waiting fraction sampled *before* the cycle, matching q_W.
-            let waiting_now = self.pending.iter().filter(|p| p.is_some()).count();
-            self.waiting.push(waiting_now as f64 / self.processors);
+            self.waiting.push(self.waiting_now as f64 / self.processors);
         }
         for (proc_id, pending) in self.pending.iter_mut().enumerate() {
             let destination = match (*pending, self.policy) {
@@ -124,6 +126,7 @@ impl CycleDriver for MimdDriver<'_> {
                 }
             };
             if let Some(module) = destination {
+                self.waiting_now += usize::from(pending.is_none());
                 *pending = Some(module);
                 requests.push(RouteRequest::new(proc_id as u64, module));
             }
@@ -134,6 +137,7 @@ impl CycleDriver for MimdDriver<'_> {
         for &(source, _) in outcome.delivered() {
             self.pending[source as usize] = None;
         }
+        self.waiting_now -= outcome.delivered_count();
         if cycle >= self.warmup {
             let (offered, delivered) = (outcome.offered(), outcome.delivered_count());
             self.offered += offered as u64;
@@ -237,6 +241,7 @@ impl MimdSystem {
     pub fn run(&mut self, warmup: u32, cycles: u32) -> MimdReport {
         let n = self.processors() as f64;
         let modules = self.modules();
+        let waiting_now = self.waiting_now();
         let mut driver = MimdDriver {
             pending: &mut self.pending,
             rng: &mut self.rng,
@@ -245,6 +250,7 @@ impl MimdSystem {
             modules,
             processors: n,
             warmup: warmup as u64,
+            waiting_now,
             waiting: RunningStats::new(),
             acceptance: RunningStats::new(),
             offered: 0,

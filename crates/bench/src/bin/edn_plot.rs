@@ -25,9 +25,9 @@
 //!
 //! `--heatmap` reads the **metrics sidecar** (`*.metrics.jsonl`)
 //! instead: every `{"kind": "routing"}` record — a stage-resolved
-//! [`StageProbe`] snapshot an experiment recorded — becomes one row of a
-//! stage-utilization heatmap (exit-wire grant rate per stage), rendered
-//! in ASCII and, with `--svg DIR`, as an SVG grid.
+//! [`StageProbe`](edn_core::StageProbe) snapshot an experiment recorded —
+//! becomes one row of a stage-utilization heatmap (exit-wire grant rate
+//! per stage), rendered in ASCII and, with `--svg DIR`, as an SVG grid.
 
 use edn_sweep::json::{self, Value};
 use edn_sweep::{SchemaHeader, Table};

@@ -18,7 +18,7 @@
 
 use edn_bench::{fmt_f, SweepArgs};
 use edn_core::EdnParams;
-use edn_sim::{estimate_pa_lanes, ArbiterKind, RunningStats};
+use edn_sim::{estimate_pa_seeds_with, ArbiterKind, RunningStats};
 use edn_sweep::Table;
 use edn_traffic::HotSpotTraffic;
 
@@ -35,13 +35,11 @@ struct Cell {
 /// runs, folded into a mean with a seed-level CI.
 fn measure_cell(params: &EdnParams, intensity: f64, seeds: &[u64], cycles: u32) -> Cell {
     let hot_output = params.outputs() / 2;
-    // The whole seed axis rides the lane engine — 64 hot-spot replicas
-    // per traversal, each bit-identical to its scalar estimate_pa_with.
-    let lane_seeds: Vec<u64> = seeds
+    let cell_seeds: Vec<u64> = seeds
         .iter()
         .map(|&seed| seed ^ (intensity.to_bits().rotate_left(17)))
         .collect();
-    let estimates = estimate_pa_lanes(
+    let estimates = estimate_pa_seeds_with(
         params,
         |_seed| {
             HotSpotTraffic::new(
@@ -54,7 +52,7 @@ fn measure_cell(params: &EdnParams, intensity: f64, seeds: &[u64], cycles: u32) 
         },
         ArbiterKind::Random,
         cycles,
-        &lane_seeds,
+        &cell_seeds,
     );
     let mut stats = RunningStats::new();
     let mut delivered = 0u64;

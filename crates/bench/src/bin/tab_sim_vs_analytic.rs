@@ -101,8 +101,6 @@ fn main() {
             let rate = rates[row % rates.len()];
             let model = probability_of_acceptance(&params, rate);
             // Fold the per-seed estimates of this (network, rate) cell.
-            // The whole seed axis rides the lane engine — 64 replicas per
-            // traversal, each bit-identical to its scalar estimate_pa.
             let estimates = estimate_pa_seeds(&params, rate, ArbiterKind::Random, cycles, &seeds);
             let mean = estimates.iter().map(|e| e.mean).sum::<f64>() / estimates.len() as f64;
             let se = estimates.iter().map(|e| e.std_error).sum::<f64>()

@@ -13,9 +13,9 @@
 //! For each (network, load) point the table reports, per stage, the
 //! measured input-wire request rate and blocked fraction next to the
 //! model's, with the absolute blocked-fraction error. The run also
-//! records one full-load [`RunMetrics`] snapshot per network into the
-//! `*.metrics.jsonl` sidecar (`--out` runs), which `edn_plot --heatmap`
-//! renders as a stage-utilization heatmap.
+//! records one full-load [`RunMetrics`](edn_core::RunMetrics) snapshot
+//! per network into the `*.metrics.jsonl` sidecar (`--out` runs), which
+//! `edn_plot --heatmap` renders as a stage-utilization heatmap.
 //!
 //! Runs on the `edn_sweep` streaming harness: one pool task per
 //! (network, load, stage) row; `--threads/--cycles/--out/--shard` as

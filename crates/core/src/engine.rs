@@ -604,7 +604,7 @@ impl RoutingEngine {
     }
 
     /// The shared compiled wiring handle — clone it to build sibling
-    /// engines (scalar or lane) without recompiling the tables.
+    /// engines without recompiling the tables.
     pub fn wiring(&self) -> &Arc<CompiledWiring> {
         &self.wiring
     }

@@ -140,33 +140,6 @@ impl FaultSet {
         }
     }
 
-    /// The disabled-bits of the 64 consecutive exit lines
-    /// `first_wire..first_wire + 64` of `stage`, as one word: bit `k` is
-    /// set iff `is_disabled(stage, first_wire + k)`. Wires beyond the
-    /// stage's range (and invalid stages) read as healthy, exactly like
-    /// [`FaultSet::is_disabled`].
-    ///
-    /// This is the batched lookup behind the lane engine's fault path:
-    /// one load answers a whole bucket's fault exposure (`c <= 64` wires)
-    /// and the resulting healthy mask is shared by all 64 replica lanes,
-    /// instead of probing `is_disabled` once per wire per lane.
-    #[inline]
-    pub fn wire_mask_u64(&self, stage: u32, first_wire: u64) -> u64 {
-        if stage < 1 || stage > self.params.l() {
-            return 0;
-        }
-        let words = &self.by_stage[(stage - 1) as usize];
-        let index = (first_wire / 64) as usize;
-        // edn-lint: allow(cast-audit) -- a residue mod 64 always fits
-        let bit = (first_wire % 64) as u32;
-        let low = words.get(index).copied().unwrap_or(0) >> bit;
-        if bit == 0 {
-            low
-        } else {
-            low | (words.get(index + 1).copied().unwrap_or(0) << (64 - bit))
-        }
-    }
-
     /// Total broken wires.
     pub fn count(&self) -> usize {
         self.count
@@ -447,24 +420,6 @@ mod tests {
         twin.disable(2, 0).unwrap();
         twin.disable(1, 63).unwrap();
         assert_eq!(faults, twin);
-    }
-
-    #[test]
-    fn wire_mask_u64_matches_per_wire_probes() {
-        let p = EdnParams::new(16, 4, 4, 3).unwrap();
-        let faults = FaultSet::random(&p, 0.3, 17);
-        for stage in 0..=p.l() + 1 {
-            for first in [0u64, 1, 7, 63, 64, 65, 100, 192, 200, 255, 1 << 40] {
-                let mask = faults.wire_mask_u64(stage, first);
-                for k in 0..64u64 {
-                    assert_eq!(
-                        mask >> k & 1 == 1,
-                        faults.is_disabled(stage, first + k),
-                        "stage {stage} first {first} k {k}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

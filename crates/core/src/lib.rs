@@ -52,13 +52,9 @@
 //!   through the wired fabric (compatibility wrappers over the engine).
 //! * [`engine`] — [`RoutingEngine`]: the build-once, zero-allocation
 //!   routing core every simulator runs on.
-//! * [`lanes`] — [`LaneEngine`]: bit-parallel multi-replica routing, up
-//!   to 64 Monte-Carlo lanes advanced per traversal via `u64` masks,
-//!   oracle-checked against the scalar engine.
 //! * [`session`] — [`RouteSession`]: resident multi-cycle stepping
 //!   (resubmission, cluster schedules, caller-supplied drivers) so whole
-//!   runs are one engine call instead of one per cycle; [`LaneSession`]
-//!   steps up to 64 resident replicas per traversal.
+//!   runs are one engine call instead of one per cycle.
 //! * [`telemetry`] — [`Probe`]: monomorphized routing telemetry
 //!   ([`NullProbe`] compiles to nothing; [`StageProbe`] resolves
 //!   blocking, contention, and wire utilization per stage).
@@ -69,8 +65,8 @@
 //!   struct-of-arrays form of the interstage permutations; compiled and
 //!   deeply validated once, borrowed by every engine, and serialized by
 //!   the `edn_fabric` on-disk database.
-//! * [`reference`] — the pre-engine implementations, kept as the
-//!   differential-testing oracle and benchmark baseline.
+//! * [`reference`](mod@reference) — the pre-engine implementations, kept
+//!   as the differential-testing oracle and benchmark baseline.
 //! * [`cost`] — crosspoint and wire cost, Eqs. (2)–(3).
 
 #![warn(missing_docs)]
@@ -83,7 +79,6 @@ pub mod error;
 pub mod faults;
 pub mod gamma;
 pub mod hyperbar;
-pub mod lanes;
 pub mod params;
 pub mod reference;
 pub mod routing;
@@ -102,12 +97,9 @@ pub use gamma::Gamma;
 pub use hyperbar::{
     Arbiter, Hyperbar, HyperbarOutcome, PriorityArbiter, RandomArbiter, RoundRobinArbiter,
 };
-pub use lanes::{lanes_enabled, LaneEngine, MAX_LANES};
 pub use params::{EdnParams, NetworkClass};
 pub use routing::{route_batch, route_batch_reordered, BatchOutcome, BlockReason, RouteRequest};
-pub use session::{
-    ClusterSchedule, CycleDriver, LaneResubmit, LaneSession, Resubmit, RouteSession, SessionState,
-};
+pub use session::{ClusterSchedule, CycleDriver, Resubmit, RouteSession, SessionState};
 pub use telemetry::{NullProbe, Probe, RunMetrics, StageMetrics, StageProbe};
 pub use topology::{EdnTopology, PathTrace};
 pub use trace::{TraceEvent, TraceEventKind, TraceFilter, TraceProbe};

@@ -9,9 +9,9 @@
 //! lives in the `edn-sim` crate.
 //!
 //! The free functions here are thin compatibility wrappers that build a
-//! fresh [`RoutingEngine`](crate::engine::RoutingEngine) per call. Code
-//! that routes more than one cycle should hold an engine instead — it
-//! reuses every buffer and performs zero steady-state allocations. The
+//! fresh [`RoutingEngine`] per call. Code that routes more than one cycle
+//! should hold an engine instead — it reuses every buffer and performs
+//! zero steady-state allocations. The
 //! original allocating implementations live on in [`crate::reference`] as
 //! the differential-testing oracle.
 

@@ -16,7 +16,7 @@
 //! queues drained under an RA-EDN [`ClusterSchedule`]
 //! ([`ClusterSchedule::Random`] is the paper's model,
 //! [`ClusterSchedule::GreedyDistinct`] the cheap conflict-avoiding
-//! alternative its reference [31] gestures at); and
+//! alternative its reference \[31\] gestures at); and
 //! [`RoutingEngine::begin_session_with`] accepts any caller-supplied
 //! [`CycleDriver`] (the MIMD processor model and the Monte-Carlo workload
 //! drivers in `edn-sim` plug in here). [`RouteSession::step_n`] and
@@ -60,7 +60,6 @@
 use crate::engine::{BatchOutcomeView, RoutingEngine};
 use crate::faults::FaultSet;
 use crate::hyperbar::Arbiter;
-use crate::lanes::{LaneEngine, MAX_LANES};
 use crate::params::EdnParams;
 use crate::routing::RouteRequest;
 use crate::telemetry::{NullProbe, Probe};
@@ -90,7 +89,7 @@ pub enum Resubmit<'r> {
 /// delivered is chosen from each cluster at random") and notes that
 /// conflict-free schedules "can be very expensive to compute".
 /// [`ClusterSchedule::GreedyDistinct`] is the cheap middle ground its
-/// reference [31] gestures at: clusters (scanned from a rotating start)
+/// reference \[31\] gestures at: clusters (scanned from a rotating start)
 /// prefer a pending message whose destination cluster no earlier cluster
 /// has claimed this cycle, eliminating most output contention for the
 /// price of one membership mask.
@@ -526,272 +525,6 @@ impl<'s, A: Arbiter + ?Sized, P: Probe> RouteSession<'s, A, P> {
             self.step();
         }
         self.state.cycles
-    }
-}
-
-/// What each lane's resident requests do with their destinations on
-/// resubmission — the lane-parallel counterpart of [`Resubmit`].
-#[derive(Debug)]
-pub enum LaneResubmit<'r> {
-    /// Every lane retries the same destination tags each cycle.
-    SameTag,
-    /// Lane `l` re-randomizes its tags from `rngs[l]` on every
-    /// submission, in waiting-queue order — exactly the per-lane stream a
-    /// scalar [`Resubmit::Redraw`] run with that RNG would draw.
-    Redraw(&'r mut [StdRng]),
-}
-
-/// Up to [`MAX_LANES`] resident-batch sessions advanced by one shared
-/// traversal per cycle.
-///
-/// Created by [`LaneEngine::begin_lane_session`]. Each lane has its own
-/// [`SessionState`], arbiter, and waiting queue; per-lane results
-/// (delivered set, per-cycle counts, total cycles) are bit-identical to
-/// running that lane's batch through a scalar
-/// [`RoutingEngine::begin_session`] with the same arbiter and RNG
-/// streams — a lane that finishes early simply routes empty batches
-/// (touching no switches, hence no arbiters) while the others drain.
-pub struct LaneSession<'s, A: Arbiter, P: Probe = NullProbe> {
-    engine: &'s mut LaneEngine,
-    states: &'s mut [SessionState],
-    resubmit: LaneResubmit<'s>,
-    arbiters: &'s mut [A],
-    faults: Option<&'s FaultSet>,
-    probe: Option<&'s mut P>,
-}
-
-impl<'s, A: Arbiter, P: Probe> LaneSession<'s, A, P> {
-    /// Routes every lane through a fabric with broken wires instead of
-    /// the healthy one (all lanes share the fault set, as replicas of
-    /// the same degraded fabric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `faults` was built for different parameters.
-    pub fn with_faults(mut self, faults: &'s FaultSet) -> Self {
-        assert_eq!(
-            faults.params(),
-            self.engine.params(),
-            "fault set was built for {} but the fabric is {}",
-            faults.params(),
-            self.engine.params()
-        );
-        self.faults = Some(faults);
-        self
-    }
-
-    /// Attaches one shared [`Probe`] aggregating over every lane: the
-    /// lane engine's per-stage hooks plus a queue-depth sample per
-    /// active lane per cycle. Outcomes are unchanged.
-    pub fn with_probe<P2: Probe>(self, probe: &'s mut P2) -> LaneSession<'s, A, P2> {
-        LaneSession {
-            engine: self.engine,
-            states: self.states,
-            resubmit: self.resubmit,
-            arbiters: self.arbiters,
-            faults: self.faults,
-            probe: Some(probe),
-        }
-    }
-
-    /// `true` once every lane's resident population is fully delivered.
-    pub fn finished(&self) -> bool {
-        self.states.iter().all(|s| s.resident.remaining == 0)
-    }
-
-    /// The per-lane session measurements so far.
-    pub fn states(&self) -> &[SessionState] {
-        self.states
-    }
-
-    /// Advances every lane one network cycle in a single traversal
-    /// (lanes already finished step an empty batch, exactly like a
-    /// scalar session stepped past completion); returns total
-    /// `(offered, delivered)` across lanes.
-    pub fn step(&mut self) -> (usize, usize) {
-        self.step_mask(!0)
-    }
-
-    /// Steps exactly `n` cycles; returns total `(offered, delivered)`
-    /// across lanes over those cycles.
-    pub fn step_n(&mut self, n: u64) -> (u64, u64) {
-        let mut offered = 0u64;
-        let mut delivered = 0u64;
-        for _ in 0..n {
-            let (o, d) = self.step();
-            offered += o as u64;
-            delivered += d as u64;
-        }
-        (offered, delivered)
-    }
-
-    /// Steps until every lane's population is delivered; returns the
-    /// largest per-lane cycle count. A lane stops accumulating cycles
-    /// the moment it finishes, so each lane's [`SessionState`] reads
-    /// exactly as its scalar [`RouteSession::run_to_completion`] would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any unfinished lane reaches `limit` cycles — a livelock
-    /// indicator, as in the scalar session.
-    pub fn run_to_completion(&mut self, limit: u64) -> u64 {
-        loop {
-            let mut active = 0u64;
-            for (lane, state) in self.states.iter().enumerate() {
-                if state.resident.remaining > 0 {
-                    assert!(
-                        state.cycles < limit,
-                        "no forward progress after {} cycles",
-                        state.cycles
-                    );
-                    active |= 1u64 << lane;
-                }
-            }
-            if active == 0 {
-                break;
-            }
-            self.step_mask(active);
-        }
-        self.states.iter().map(|s| s.cycles).max().unwrap_or(0)
-    }
-
-    /// One shared traversal; only lanes in `mask` fill, absorb, and
-    /// accumulate counts (the rest route empty batches, which touch no
-    /// switches and therefore no arbiter state).
-    // edn-lint: hot-path
-    fn step_mask(&mut self, mask: u64) -> (usize, usize) {
-        if P::ENABLED {
-            if let Some(probe) = self.probe.as_deref_mut() {
-                for (lane, state) in self.states.iter().enumerate() {
-                    if mask & (1u64 << lane) != 0 {
-                        probe.queue_depth(state.resident.waiting.len());
-                    }
-                }
-            }
-        }
-        for (lane, state) in self.states.iter_mut().enumerate() {
-            let SessionState {
-                requests, resident, ..
-            } = state;
-            requests.clear();
-            if mask & (1u64 << lane) == 0 {
-                continue;
-            }
-            match &mut self.resubmit {
-                LaneResubmit::SameTag => requests.extend_from_slice(&resident.waiting),
-                LaneResubmit::Redraw(rngs) => {
-                    let rng = &mut rngs[lane];
-                    for entry in &mut resident.waiting {
-                        entry.tag = rng.gen_range(0..resident.outputs);
-                        requests.push(*entry);
-                    }
-                }
-            }
-        }
-        if P::ENABLED {
-            if let Some(probe) = self.probe.as_deref_mut() {
-                // Lane sessions are always resident: every request a lane
-                // offers after its first cycle is a resubmission.
-                for (lane, state) in self.states.iter().enumerate() {
-                    if mask & (1u64 << lane) != 0 && state.cycles > 0 {
-                        for request in state.requests.iter() {
-                            probe.event_resubmit(request.source, request.tag);
-                        }
-                    }
-                }
-            }
-        }
-        let states = &*self.states;
-        let outcomes = match (&mut self.probe, self.faults) {
-            (Some(probe), Some(faults)) => self.engine.route_lanes_faulty_probed_with(
-                states.len(),
-                |lane| states[lane].requests.as_slice(),
-                faults,
-                &mut *self.arbiters,
-                &mut **probe,
-            ),
-            (Some(probe), None) => self.engine.route_lanes_probed_with(
-                states.len(),
-                |lane| states[lane].requests.as_slice(),
-                &mut *self.arbiters,
-                &mut **probe,
-            ),
-            (None, Some(faults)) => self.engine.route_lanes_faulty_with(
-                states.len(),
-                |lane| states[lane].requests.as_slice(),
-                faults,
-                &mut *self.arbiters,
-            ),
-            (None, None) => self.engine.route_lanes_with(
-                states.len(),
-                |lane| states[lane].requests.as_slice(),
-                &mut *self.arbiters,
-            ),
-        };
-        let mut offered = 0usize;
-        let mut delivered = 0usize;
-        for (lane, state) in self.states.iter_mut().enumerate() {
-            if mask & (1u64 << lane) == 0 {
-                continue;
-            }
-            let outcome = &outcomes[lane];
-            state.resident.absorb(outcome);
-            state.per_cycle.push(outcome.delivered_count() as u64);
-            state.offered += outcome.offered() as u64;
-            state.delivered += outcome.delivered_count() as u64;
-            state.cycles += 1;
-            offered += outcome.offered();
-            delivered += outcome.delivered_count();
-        }
-        (offered, delivered)
-    }
-}
-
-impl LaneEngine {
-    /// Begins up to [`MAX_LANES`] resident-batch sessions sharing one
-    /// traversal per cycle: lane `l` holds `batches[l]` resident, with
-    /// its own `states[l]` and `arbiters[l]`, resubmitting blocked
-    /// requests per `resubmit` until every delivered-mask is full.
-    ///
-    /// Each state is re-initialized; keep them alive across runs for
-    /// allocation-free steady state, as with the scalar session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states`, `batches`, and `arbiters` (and the
-    /// [`LaneResubmit::Redraw`] RNG slice, when used) disagree in
-    /// length, or the lane count is not in `1..=`[`MAX_LANES`];
-    /// per-cycle panics as [`LaneEngine::route_lanes`].
-    pub fn begin_lane_session<'s, A: Arbiter>(
-        &'s mut self,
-        states: &'s mut [SessionState],
-        batches: &[&[RouteRequest]],
-        resubmit: LaneResubmit<'s>,
-        arbiters: &'s mut [A],
-    ) -> LaneSession<'s, A> {
-        let lanes = states.len();
-        assert!(
-            (1..=MAX_LANES).contains(&lanes),
-            "lane count {lanes} out of range (1..={MAX_LANES})"
-        );
-        assert_eq!(lanes, batches.len(), "one batch per lane");
-        assert_eq!(lanes, arbiters.len(), "one arbiter per lane");
-        if let LaneResubmit::Redraw(rngs) = &resubmit {
-            assert_eq!(lanes, rngs.len(), "one redraw RNG per lane");
-        }
-        let params = *self.params();
-        for (state, batch) in states.iter_mut().zip(batches) {
-            state.reset();
-            state.resident.reset(&params, batch);
-        }
-        LaneSession {
-            engine: self,
-            states,
-            resubmit,
-            arbiters,
-            faults: None,
-            probe: None,
-        }
     }
 }
 

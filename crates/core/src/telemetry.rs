@@ -7,8 +7,8 @@
 //! end-of-run aggregates: a [`crate::BatchOutcomeView`] says *how many*
 //! requests died, not *where* in the fabric or *how contended* the
 //! arbiters were. A [`Probe`] is threaded through the hot loops of
-//! [`crate::RoutingEngine`], [`crate::RouteSession`], and
-//! [`crate::LaneEngine`] as a monomorphized type parameter, so
+//! [`crate::RoutingEngine`] and [`crate::RouteSession`] as a
+//! monomorphized type parameter, so
 //! instrumentation obeys the repository's two iron rules:
 //!
 //! * **Zero cost when off.** [`NullProbe`] sets
@@ -18,11 +18,7 @@
 //!   and differential-oracle suites hold with no probe in sight.
 //! * **Observation never perturbs.** Probes only *read* the routing
 //!   state; outcomes are property-tested bit-identical with [`NullProbe`]
-//!   vs. the counting [`StageProbe`] across shapes × arbiters × faults ×
-//!   lanes. (The lane engine routes a probed pass down its bucketized
-//!   arbitration path — the scalar-equivalent sequence its static fast
-//!   paths are oracle-checked against — so a probe observes every
-//!   arbitration without changing any verdict.)
+//!   vs. the counting [`StageProbe`] across shapes × arbiters × faults.
 //!
 //! [`StageProbe`] pre-sizes every counter at construction, so counting
 //! stays allocation-free in steady state too — sessions run with the
@@ -69,7 +65,7 @@ pub trait Probe {
     const ENABLED: bool;
 
     /// A routing pass begins with `offered` requests. Called once per
-    /// engine pass (so a 64-lane traversal reports once per lane).
+    /// engine pass.
     #[inline(always)]
     fn cycle_start(&mut self, offered: usize) {
         let _ = offered;

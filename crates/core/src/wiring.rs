@@ -1,23 +1,24 @@
 //! Compiled interstage wiring: the struct-of-arrays form of the fabric.
 //!
-//! [`EdnTopology`] stores each interstage permutation as a [`Gamma`]
-//! descriptor and evaluates `gamma.apply(exit)` per winner — a handful
-//! of shifts and rotates on the routing hot path, recomputed by every
-//! engine instance. [`CompiledWiring`] is the flattened alternative: one
-//! contiguous `u32` table per stage (cache-conscious stage strides, all
-//! stages packed into a single allocation), compiled once and shared by
-//! reference — [`crate::RoutingEngine`] and [`crate::LaneEngine`] borrow
-//! it through an [`Arc`] instead of owning per-instance copies, and the
-//! `edn_fabric` on-disk database serializes exactly this table so shard
-//! processes can load a pre-built fabric instead of re-wiring it.
+//! [`EdnTopology`] stores each interstage permutation as a
+//! [`crate::Gamma`] descriptor and evaluates `gamma.apply(exit)` per
+//! winner — a handful of shifts and rotates on the routing hot path,
+//! recomputed by every engine instance. [`CompiledWiring`] is the
+//! flattened alternative: one contiguous `u32` table per stage
+//! (cache-conscious stage strides, all stages packed into a single
+//! allocation), compiled once and shared by reference — every
+//! [`crate::RoutingEngine`] borrows it through an [`Arc`] instead of
+//! owning a per-instance copy, and the `edn_fabric` on-disk database
+//! serializes exactly this table so shard processes can load a pre-built
+//! fabric instead of re-wiring it.
 //!
 //! Compilation is the *validated* step (the build-once/validate-deeply
 //! split of FPGA interconnect databases): besides filling the table from
-//! [`Gamma::apply`], [`CompiledWiring::compile`] proves every stage is a
-//! bijection (occupancy bitmap) and round-trips every entry through
-//! [`Gamma::inverse`]. Consumers of an already-validated table (an
-//! engine cloning an [`Arc`], a hash-checked `edn_fabric` load) skip all
-//! of that and pay only a length check.
+//! [`crate::Gamma::apply`], [`CompiledWiring::compile`] proves every
+//! stage is a bijection (occupancy bitmap) and round-trips every entry
+//! through [`crate::Gamma::inverse`]. Consumers of an already-validated
+//! table (an engine cloning an [`Arc`], a hash-checked `edn_fabric` load)
+//! skip all of that and pay only a length check.
 //!
 //! # Examples
 //!

@@ -3,22 +3,21 @@
 //! blocked set, per-stage survivors, per-cycle session counts — is
 //! **bit-identical** with [`NullProbe`] (the default) vs. the counting
 //! [`StageProbe`], across property-generated shapes, loads, arbitration
-//! policies, fault masks, lane counts, and multi-cycle sessions. And the
+//! policies, fault masks, and multi-cycle sessions. And the
 //! probe's ledger balances: offered = delivered + blocked + fault drops,
 //! stage by stage ([`RunMetrics::reconciles`]), with totals matching the
 //! engine's own outcome counters.
 
 use edn_core::{
-    Arbiter, ClusterSchedule, EdnParams, FaultSet, LaneEngine, LaneResubmit, PriorityArbiter,
-    RandomArbiter, Resubmit, RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState,
-    StageProbe,
+    Arbiter, ClusterSchedule, EdnParams, FaultSet, PriorityArbiter, RandomArbiter, Resubmit,
+    RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState, StageProbe,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Strategy: valid EDN parameters small enough to route many cycles per
-/// property case (all lane-packable: `a, b, c <= 16`, wires `<= 1024`).
+/// property case (`a, b, c <= 16`, wires `<= 1024`).
 fn params_strategy() -> impl Strategy<Value = EdnParams> {
     (1u32..=4, 0u32..=3, 1u32..=3, 1u32..=3).prop_filter_map(
         "valid parameter combination",
@@ -67,9 +66,9 @@ fn build_arbiter(kind: u8, seed: u64) -> Box<dyn Arbiter> {
     }
 }
 
-/// Distinct per-(lane, cycle) batch seed.
-fn lane_seed(seed: u64, lane: usize, cycle: usize) -> u64 {
-    seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (cycle as u64) << 48
+/// Distinct per-cycle batch seed.
+fn cycle_seed(seed: u64, cycle: usize) -> u64 {
+    seed ^ (cycle as u64) << 48
 }
 
 proptest! {
@@ -94,7 +93,7 @@ proptest! {
         let mut offered_total = 0u64;
         let mut delivered_total = 0u64;
         for cycle in 0..cycles {
-            let requests = batch(&params, load, lane_seed(seed, 0, cycle));
+            let requests = batch(&params, load, cycle_seed(seed, cycle));
             offered_total += requests.len() as u64;
             let (expected, observed) = if faulty {
                 (
@@ -123,65 +122,6 @@ proptest! {
         if !faulty {
             prop_assert!(metrics.stages.iter().all(|s| s.fault_drops == 0));
         }
-    }
-
-    /// Lane passes: a probed pass (which takes the bucketized arbitration
-    /// path for every lane) matches the unprobed pass — static fast paths
-    /// included — lane by lane, and the probe reconciles across lanes.
-    #[test]
-    fn lane_outcomes_are_probe_invariant(
-        params in params_strategy(),
-        kinds in proptest::collection::vec(0u8..3, 1..13),
-        load in 0.1f64..=1.0,
-        faulty in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let faults = FaultSet::random(&params, 0.15, seed ^ 0xFA17);
-        let lanes = kinds.len();
-        let mut plain = LaneEngine::from_params(params);
-        let mut probed = LaneEngine::from_params(params);
-        let arbiters = |salt: u64| -> Vec<Box<dyn Arbiter>> {
-            kinds
-                .iter()
-                .enumerate()
-                .map(|(lane, &kind)| build_arbiter(kind, seed ^ lane_seed(salt, lane, 0)))
-                .collect()
-        };
-        let mut plain_arbiters = arbiters(0);
-        let mut probed_arbiters = arbiters(0);
-        let mut probe = StageProbe::new(&params);
-        let batches: Vec<Vec<RouteRequest>> = (0..lanes)
-            .map(|lane| batch(&params, load, lane_seed(seed, lane, 1)))
-            .collect();
-        let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-        let (expected, observed) = if faulty {
-            (
-                plain.route_lanes_faulty(&slices, &faults, &mut plain_arbiters).to_vec(),
-                probed.route_lanes_faulty_probed(
-                    &slices,
-                    &faults,
-                    &mut probed_arbiters,
-                    &mut probe,
-                ),
-            )
-        } else {
-            (
-                plain.route_lanes(&slices, &mut plain_arbiters).to_vec(),
-                probed.route_lanes_probed(&slices, &mut probed_arbiters, &mut probe),
-            )
-        };
-        let mut offered_total = 0u64;
-        let mut delivered_total = 0u64;
-        for (lane, (want, got)) in expected.iter().zip(observed).enumerate() {
-            prop_assert_eq!(got, want, "lane {} kind {}", lane, kinds[lane]);
-            offered_total += batches[lane].len() as u64;
-            delivered_total += want.delivered_count() as u64;
-        }
-        let metrics = probe.snapshot();
-        prop_assert_eq!(metrics.cycles, lanes as u64);
-        prop_assert_eq!(metrics.offered, offered_total);
-        prop_assert_eq!(metrics.delivered, delivered_total);
-        prop_assert!(metrics.reconciles(), "{:?}", metrics);
     }
 
     /// Resident sessions: `with_probe` never changes a multi-cycle run —
@@ -301,62 +241,6 @@ proptest! {
         let metrics = probe.snapshot();
         prop_assert_eq!(metrics.delivered, expected.1);
         prop_assert!(metrics.queue_samples >= metrics.cycles.min(1));
-        prop_assert!(metrics.reconciles(), "{:?}", metrics);
-    }
-
-    /// Lane sessions: `with_probe` never changes a multi-cycle lane run.
-    #[test]
-    fn lane_sessions_are_probe_invariant(
-        params in params_strategy(),
-        lanes in 1usize..=8,
-        redraw in any::<bool>(),
-        load in 0.2f64..=1.0,
-        seed in any::<u64>(),
-    ) {
-        let limit = 1 << 20;
-        let batches: Vec<Vec<RouteRequest>> = (0..lanes)
-            .map(|lane| batch(&params, load, lane_seed(seed, lane, 1)))
-            .collect();
-        let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-        let run = |probe: Option<&mut StageProbe>| -> (Vec<Vec<u64>>, u64) {
-            let mut engine = LaneEngine::from_params(params);
-            let mut states: Vec<SessionState> =
-                (0..lanes).map(|_| SessionState::new()).collect();
-            let mut arbiters: Vec<RandomArbiter<StdRng>> = (0..lanes)
-                .map(|lane| RandomArbiter::new(StdRng::seed_from_u64(seed ^ lane as u64)))
-                .collect();
-            let mut rngs: Vec<StdRng> = (0..lanes)
-                .map(|lane| StdRng::seed_from_u64(seed ^ 0x100 ^ lane as u64))
-                .collect();
-            let resubmit = if redraw {
-                LaneResubmit::Redraw(&mut rngs)
-            } else {
-                LaneResubmit::SameTag
-            };
-            let session =
-                engine.begin_lane_session(&mut states, &slices, resubmit, &mut arbiters);
-            let cycles = match probe {
-                Some(probe) => session.with_probe(probe).run_to_completion(limit),
-                None => {
-                    let mut s = session;
-                    s.run_to_completion(limit)
-                }
-            };
-            (
-                states
-                    .iter()
-                    .map(|s| s.delivered_per_cycle().to_vec())
-                    .collect(),
-                cycles,
-            )
-        };
-        let expected = run(None);
-        let mut probe = StageProbe::new(&params);
-        let observed = run(Some(&mut probe));
-        prop_assert_eq!(&observed, &expected);
-        let metrics = probe.snapshot();
-        let delivered: u64 = expected.0.iter().flatten().sum();
-        prop_assert_eq!(metrics.delivered, delivered);
         prop_assert!(metrics.reconciles(), "{:?}", metrics);
     }
 }

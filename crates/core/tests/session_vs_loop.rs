@@ -8,8 +8,8 @@
 //! [`RoutingEngine::route`] once per cycle.
 
 use edn_core::{
-    ClusterSchedule, EdnParams, FaultSet, LaneEngine, LaneResubmit, RandomArbiter, Resubmit,
-    RouteRequest, RoutingEngine, SessionState,
+    ClusterSchedule, EdnParams, FaultSet, RandomArbiter, Resubmit, RouteRequest, RoutingEngine,
+    SessionState,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -178,54 +178,6 @@ fn cluster_oracle(
     per_cycle
 }
 
-/// Per-lane seed derivation shared by the lane-session properties and
-/// their scalar-session oracles: each lane gets its own workload RNG and
-/// arbiter stream.
-fn lane_stream_seed(seed: u64, lane: usize) -> u64 {
-    seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// One scalar [`RouteSession`] run for a single lane's batch — the
-/// oracle for the lane-backed session (which is itself transitively
-/// checked against the caller-driven loops above). Returns the populated
-/// state after `steps` fixed steps or a full run to completion.
-///
-/// [`RouteSession`]: edn_core::RouteSession
-#[allow(clippy::too_many_arguments)]
-fn scalar_session_oracle(
-    params: &EdnParams,
-    requests: &[RouteRequest],
-    redraw: bool,
-    faults: Option<&FaultSet>,
-    seed: u64,
-    lane: usize,
-    steps: Option<u64>,
-    limit: u64,
-) -> (u64, SessionState) {
-    let mut engine = RoutingEngine::from_params(*params);
-    let mut state = SessionState::new();
-    let mut arbiter =
-        RandomArbiter::new(StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xA5B1, lane)));
-    let mut rng = StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xD1CE, lane));
-    let resubmit = if redraw {
-        Resubmit::Redraw(&mut rng)
-    } else {
-        Resubmit::SameTag
-    };
-    let mut session = engine.begin_session(&mut state, requests, resubmit, &mut arbiter);
-    if let Some(faults) = faults {
-        session = session.with_faults(faults);
-    }
-    let cycles = match steps {
-        Some(steps) => {
-            session.step_n(steps);
-            steps
-        }
-        None => session.run_to_completion(limit),
-    };
-    (cycles, state)
-}
-
 proptest! {
     #[test]
     fn resident_completion_matches_caller_driven_loop(
@@ -337,139 +289,5 @@ proptest! {
         prop_assert_eq!(cycles, oracle_counts.len() as u64);
         prop_assert_eq!(state.delivered_per_cycle(), oracle_counts.as_slice());
         prop_assert_eq!(state.delivered(), ports * q);
-    }
-
-    #[test]
-    fn lane_session_completion_matches_scalar_sessions(
-        params in params_strategy(),
-        lanes in 1usize..=8,
-        load in 0.2f64..=1.0,
-        redraw in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        // Lane-backed resident sessions: up to 8 replicas drained in one
-        // shared traversal per cycle must leave every lane's state —
-        // delivered set, per-cycle counts, total cycles — bit-identical
-        // to an independent scalar session over the same batch, RNG
-        // stream, and arbiter stream. Lanes finish at different cycles,
-        // so this also exercises the finished-lane masking.
-        let batches: Vec<Vec<RouteRequest>> = (0..lanes)
-            .map(|lane| batch(&params, load, lane_stream_seed(seed, lane)))
-            .collect();
-        let limit = (params.inputs() * 64).max(4096);
-        let expected: Vec<(u64, SessionState)> = batches
-            .iter()
-            .enumerate()
-            .map(|(lane, requests)| {
-                scalar_session_oracle(&params, requests, redraw, None, seed, lane, None, limit)
-            })
-            .collect();
-
-        let mut engine = LaneEngine::from_params(params);
-        let mut states: Vec<SessionState> =
-            (0..lanes).map(|_| SessionState::new()).collect();
-        let mut arbiters: Vec<RandomArbiter<StdRng>> = (0..lanes)
-            .map(|lane| {
-                RandomArbiter::new(StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xA5B1, lane)))
-            })
-            .collect();
-        let mut rngs: Vec<StdRng> = (0..lanes)
-            .map(|lane| StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xD1CE, lane)))
-            .collect();
-        let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-        let resubmit = if redraw {
-            LaneResubmit::Redraw(&mut rngs)
-        } else {
-            LaneResubmit::SameTag
-        };
-        let cycles = engine
-            .begin_lane_session(&mut states, &slices, resubmit, &mut arbiters)
-            .run_to_completion(limit);
-
-        prop_assert_eq!(
-            cycles,
-            expected.iter().map(|(cycles, _)| *cycles).max().unwrap_or(0)
-        );
-        for (lane, (oracle_cycles, oracle)) in expected.iter().enumerate() {
-            prop_assert_eq!(states[lane].cycles(), *oracle_cycles, "lane {}", lane);
-            prop_assert_eq!(
-                states[lane].delivered_per_cycle(),
-                oracle.delivered_per_cycle(),
-                "lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                states[lane].delivered_mask(),
-                oracle.delivered_mask(),
-                "lane {}",
-                lane
-            );
-            prop_assert_eq!(states[lane].delivered(), oracle.delivered(), "lane {}", lane);
-        }
-    }
-
-    #[test]
-    fn lane_faulty_stepping_matches_scalar_sessions(
-        params in params_strategy(),
-        lanes in 1usize..=8,
-        load in 0.2f64..=1.0,
-        redraw in any::<bool>(),
-        steps in 1u64..=24,
-        seed in any::<u64>(),
-    ) {
-        // Fixed-step faulty comparison, same rationale as the scalar
-        // faulty property: SameTag over a fully-faulted bucket may never
-        // complete, so assert cycle-by-cycle via step_n.
-        let faults = FaultSet::random(&params, 0.15, seed ^ 0xFA17);
-        let batches: Vec<Vec<RouteRequest>> = (0..lanes)
-            .map(|lane| batch(&params, load, lane_stream_seed(seed, lane)))
-            .collect();
-        let expected: Vec<(u64, SessionState)> = batches
-            .iter()
-            .enumerate()
-            .map(|(lane, requests)| {
-                scalar_session_oracle(
-                    &params, requests, redraw, Some(&faults), seed, lane, Some(steps), u64::MAX,
-                )
-            })
-            .collect();
-
-        let mut engine = LaneEngine::from_params(params);
-        let mut states: Vec<SessionState> =
-            (0..lanes).map(|_| SessionState::new()).collect();
-        let mut arbiters: Vec<RandomArbiter<StdRng>> = (0..lanes)
-            .map(|lane| {
-                RandomArbiter::new(StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xA5B1, lane)))
-            })
-            .collect();
-        let mut rngs: Vec<StdRng> = (0..lanes)
-            .map(|lane| StdRng::seed_from_u64(lane_stream_seed(seed ^ 0xD1CE, lane)))
-            .collect();
-        let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-        let resubmit = if redraw {
-            LaneResubmit::Redraw(&mut rngs)
-        } else {
-            LaneResubmit::SameTag
-        };
-        engine
-            .begin_lane_session(&mut states, &slices, resubmit, &mut arbiters)
-            .with_faults(&faults)
-            .step_n(steps);
-
-        for (lane, (_, oracle)) in expected.iter().enumerate() {
-            prop_assert_eq!(states[lane].cycles(), steps, "lane {}", lane);
-            prop_assert_eq!(
-                states[lane].delivered_per_cycle(),
-                oracle.delivered_per_cycle(),
-                "lane {}",
-                lane
-            );
-            prop_assert_eq!(
-                states[lane].delivered_mask(),
-                oracle.delivered_mask(),
-                "lane {}",
-                lane
-            );
-        }
     }
 }

@@ -246,8 +246,8 @@ fn chunk_hash(seed: u64, index: u64, words: &[u32]) -> u64 {
 ///
 /// The shape words (`a`, `b`, `c`, `l`, entry count) fold into a seed;
 /// the table is split into fixed 4 MiB chunks, each hashed
-/// independently ([`chunk_hash`]: word-wise FNV-1a striped over
-/// [`HASH_LANES`] lanes, seeded by the chunk's index); the per-chunk
+/// independently (`chunk_hash`: word-wise FNV-1a striped over
+/// `HASH_LANES` lanes, seeded by the chunk's index); the per-chunk
 /// hashes fold serially, in order, into the result.
 ///
 /// The structure is chosen for the load path, where the hash verifies

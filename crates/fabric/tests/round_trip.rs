@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use edn_core::{
-    EdnParams, FaultSet, LaneEngine, PriorityArbiter, RandomArbiter, RouteRequest, RoutingEngine,
-};
+use edn_core::{EdnParams, FaultSet, PriorityArbiter, RandomArbiter, RouteRequest, RoutingEngine};
 use edn_fabric::Fabric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,44 +92,6 @@ fn loaded_fabric_routes_identically_under_faults() {
                 .route_faulty(&requests, &faults, &mut PriorityArbiter::new())
                 .to_outcome();
             assert_eq!(a, b, "{p} fault seed {seed}");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn loaded_fabric_drives_lane_engine_identically() {
-    let dir = temp_dir("lanes");
-    // Shapes small enough for the packed lane engine.
-    for p in [params(16, 4, 4, 3), params(4, 4, 1, 4)] {
-        let fabric = round_trip(p, &dir);
-        let mut wired = LaneEngine::from_params(p);
-        let mut loaded = LaneEngine::with_wiring(Arc::clone(fabric.wiring()));
-        let mut scalar = RoutingEngine::with_wiring(Arc::clone(fabric.wiring()));
-        for salt in 0..4u64 {
-            let batches: Vec<Vec<RouteRequest>> =
-                (0..3).map(|lane| batch(&p, salt + lane)).collect();
-            let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-            let mut arbiters = [PriorityArbiter::new(); 3];
-            let a: Vec<_> = wired
-                .route_lanes(&slices, &mut arbiters)
-                .iter()
-                .map(|view| view.to_outcome())
-                .collect();
-            let b: Vec<_> = loaded
-                .route_lanes(&slices, &mut arbiters)
-                .iter()
-                .map(|view| view.to_outcome())
-                .collect();
-            assert_eq!(a, b, "{p} lanes salt {salt}");
-            // And each lane on loaded wiring still matches the scalar
-            // differential oracle on the same loaded wiring.
-            for (lane, requests) in batches.iter().enumerate() {
-                let c = scalar
-                    .route(requests, &mut PriorityArbiter::new())
-                    .to_outcome();
-                assert_eq!(b[lane], c, "{p} lane {lane} vs scalar, salt {salt}");
-            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -1,7 +1,7 @@
 //! `edn_lint` — repo-aware static analysis for the EDN workspace.
 //!
 //! Every guarantee this reproduction makes — byte-identical sweep
-//! artifacts at any `--threads`/`--shard`/`EDN_LANES` setting,
+//! artifacts at any `--threads`/`--shard` setting,
 //! zero-allocation routing hot paths, `unsafe` confined to the fabric
 //! mmap module — is enforced at runtime only on the paths tests happen
 //! to exercise. This crate enforces them *statically*, over every line
@@ -63,7 +63,7 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "node_modules"];
 const FIXTURE_DIR: &str = "crates/lint/fixtures";
 
 /// Collects every workspace `.rs` file under `root`, sorted, as paths
-/// relative to `root`. Skips [`SKIP_DIRS`] and the fixture tree.
+/// relative to `root`. Skips `SKIP_DIRS` and the fixture tree.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     collect(root, root, &mut files, true)?;

@@ -99,7 +99,7 @@ impl fmt::Display for Finding {
 }
 
 /// The crates whose emitted rows, tables, and narration must be
-/// byte-identical across `--threads`/`--shard`/`EDN_LANES` settings —
+/// byte-identical across `--threads`/`--shard` settings —
 /// the determinism rule's scope. `bench` (timing) and `store`
 /// (wall-clock cache file names) are deliberately out of scope, as is
 /// the linter itself.

@@ -47,9 +47,9 @@ pub mod stats;
 
 pub use mimd::{MimdReport, MimdSystem, ResubmitPolicy};
 pub use montecarlo::{
-    estimate_pa, estimate_pa_lanes, estimate_pa_permutation, estimate_pa_seeds, estimate_pa_with,
-    estimate_pa_with_reference, map_seeds, map_seeds_chunked_with, map_seeds_with,
-    AcceptanceEstimate,
+    estimate_pa, estimate_pa_permutation, estimate_pa_seeds, estimate_pa_seeds_with,
+    estimate_pa_with, estimate_pa_with_reference, map_seeds, map_seeds_chunked_with,
+    map_seeds_with, AcceptanceEstimate,
 };
 pub use network::{ArbiterKind, NetworkSim};
 pub use simd::{PermutationRun, RaEdnSystem, Schedule};

@@ -155,23 +155,13 @@ pub fn estimate_pa_with_reference<W: Workload>(
     }
 }
 
-/// Measures acceptance for **many seeds at once** on the bit-parallel
-/// lane engine: seeds are chunked [`edn_core::MAX_LANES`] (64) at a time
-/// and each chunk advances through one [`LaneEngine`] traversal per
-/// cycle instead of one scalar pass per seed. `workload_for(seed)`
-/// builds each replica's workload; every replica keeps its own workload
-/// RNG (`seed`) and arbiter stream (`seed ^ 0xA5A5_5A5A_A5A5_5A5A`,
-/// the [`NetworkSim`] scheme), so each returned estimate is
-/// **bit-identical** — `f64` fields included — to
-/// [`estimate_pa_with`] called with that seed alone (asserted by the
-/// differential tests below).
-///
-/// Falls back to the per-seed scalar path when the shape exceeds the
-/// lane engine's mask widths ([`LaneEngine::supports`]) or when the
-/// `EDN_LANES=0` kill-switch is set ([`edn_core::lanes_enabled`]).
-///
-/// [`LaneEngine`]: edn_core::LaneEngine
-pub fn estimate_pa_lanes<W, F>(
+/// Measures acceptance once per seed of a seed axis: `workload_for(seed)`
+/// builds each seed's workload, and each returned estimate is
+/// **bit-identical** — `f64` fields included — to [`estimate_pa_with`]
+/// called with that workload and seed alone (each seed keeps its own
+/// workload RNG `seed` and arbiter stream
+/// `seed ^ 0xA5A5_5A5A_A5A5_5A5A`, the [`NetworkSim`] scheme).
+pub fn estimate_pa_seeds_with<W, F>(
     params: &EdnParams,
     mut workload_for: F,
     arbiter: ArbiterKind,
@@ -182,76 +172,19 @@ where
     W: Workload,
     F: FnMut(u64) -> W,
 {
-    use edn_core::{lanes_enabled, Arbiter, LaneEngine, MAX_LANES};
-
-    if !lanes_enabled() || !LaneEngine::supports(params) {
-        return seeds
-            .iter()
-            .map(|&seed| {
-                let mut workload = workload_for(seed);
-                estimate_pa_with(params, &mut workload, arbiter, cycles, seed)
-            })
-            .collect();
-    }
-
-    let mut engine = LaneEngine::from_params(*params);
-    let mut estimates = Vec::with_capacity(seeds.len());
-    for chunk in seeds.chunks(MAX_LANES) {
-        let lanes = chunk.len();
-        let mut workloads: Vec<W> = chunk.iter().map(|&seed| workload_for(seed)).collect();
-        let mut rngs: Vec<StdRng> = chunk
-            .iter()
-            .map(|&seed| StdRng::seed_from_u64(seed))
-            .collect();
-        let mut arbiters: Vec<Box<dyn Arbiter + Send>> = chunk
-            .iter()
-            .map(|&seed| arbiter.build(seed ^ 0xA5A5_5A5A_A5A5_5A5A))
-            .collect();
-        let mut batches: Vec<Vec<RouteRequest>> = (0..lanes).map(|_| Vec::new()).collect();
-        let mut per_cycle: Vec<RunningStats> = (0..lanes).map(|_| RunningStats::new()).collect();
-        let mut offered = vec![0u64; lanes];
-        let mut delivered = vec![0u64; lanes];
-        for _ in 0..cycles {
-            for ((workload, rng), batch) in workloads.iter_mut().zip(&mut rngs).zip(&mut batches) {
-                workload.fill_batch(batch, rng);
-            }
-            // An empty lane routes nothing and touches no arbiter state,
-            // exactly like the scalar path's empty-cycle `continue`.
-            let shared = &batches;
-            let outcomes =
-                engine.route_lanes_with(lanes, |lane| shared[lane].as_slice(), &mut arbiters);
-            for (lane, outcome) in outcomes.iter().enumerate() {
-                if outcome.offered() == 0 {
-                    per_cycle[lane].push(1.0);
-                    continue;
-                }
-                offered[lane] += outcome.offered() as u64;
-                delivered[lane] += outcome.delivered_count() as u64;
-                per_cycle[lane].push(outcome.acceptance_rate());
-            }
-        }
-        for lane in 0..lanes {
-            let mean = if offered[lane] == 0 {
-                1.0
-            } else {
-                delivered[lane] as f64 / offered[lane] as f64
-            };
-            estimates.push(AcceptanceEstimate {
-                mean,
-                std_error: per_cycle[lane].std_error(),
-                cycles,
-                offered: offered[lane],
-                delivered: delivered[lane],
-            });
-        }
-    }
-    estimates
+    seeds
+        .iter()
+        .map(|&seed| {
+            let mut workload = workload_for(seed);
+            estimate_pa_with(params, &mut workload, arbiter, cycles, seed)
+        })
+        .collect()
 }
 
-/// [`estimate_pa`] over a whole seed axis, riding the lane engine: one
-/// estimate per seed, each bit-identical to the scalar
-/// `estimate_pa(params, rate, arbiter, cycles, seed)` call it replaces.
-/// This is the entry point the sweep binaries use for their seed axes.
+/// [`estimate_pa`] over a whole seed axis: one estimate per seed, each
+/// bit-identical to the `estimate_pa(params, rate, arbiter, cycles, seed)`
+/// call it stands for. This is the entry point the sweep binaries use for
+/// their seed axes.
 pub fn estimate_pa_seeds(
     params: &EdnParams,
     rate: f64,
@@ -259,7 +192,7 @@ pub fn estimate_pa_seeds(
     cycles: u32,
     seeds: &[u64],
 ) -> Vec<AcceptanceEstimate> {
-    estimate_pa_lanes(
+    estimate_pa_seeds_with(
         params,
         |_seed| UniformTraffic::new(params.inputs(), params.outputs(), rate),
         arbiter,
@@ -542,37 +475,44 @@ mod tests {
     }
 
     #[test]
-    fn lane_estimates_are_bit_identical_to_scalar_per_seed() {
-        // estimate_pa_seeds must reproduce the scalar per-seed loop
-        // exactly, f64 fields included, for every arbiter, across a seed
-        // axis long enough to cross the 64-lane chunk boundary.
-        let params = EdnParams::new(16, 4, 4, 2).unwrap();
-        let seeds: Vec<u64> = (0..70).map(|s| s * 17 + 3).collect();
-        for arbiter in [
-            ArbiterKind::Random,
-            ArbiterKind::Priority,
-            ArbiterKind::RoundRobin,
-        ] {
-            for rate in [1.0, 0.4] {
-                let lanes = estimate_pa_seeds(&params, rate, arbiter, 25, &seeds);
-                let scalar: Vec<AcceptanceEstimate> = seeds
-                    .iter()
-                    .map(|&seed| estimate_pa(&params, rate, arbiter, 25, seed))
-                    .collect();
-                assert_eq!(lanes, scalar, "rate {rate} arbiter {arbiter:?}");
+    fn seed_axis_estimates_are_bit_identical_to_scalar_per_seed() {
+        // estimate_pa_seeds must reproduce the per-seed estimate_pa calls
+        // exactly, f64 fields included, for every arbiter: on a small
+        // EDN(16,4,4,2) with a 70-seed axis, and on the wide-switch
+        // EDN(128,64,2,1).
+        let shapes = [
+            (EdnParams::new(16, 4, 4, 2).unwrap(), 70u64, 25),
+            (EdnParams::new(128, 64, 2, 1).unwrap(), 3, 10),
+        ];
+        for (params, seed_count, cycles) in shapes {
+            let seeds: Vec<u64> = (0..seed_count).map(|s| s * 17 + 3).collect();
+            for arbiter in [
+                ArbiterKind::Random,
+                ArbiterKind::Priority,
+                ArbiterKind::RoundRobin,
+            ] {
+                for rate in [1.0, 0.4] {
+                    let axis = estimate_pa_seeds(&params, rate, arbiter, cycles, &seeds);
+                    let scalar: Vec<AcceptanceEstimate> = seeds
+                        .iter()
+                        .map(|&seed| estimate_pa(&params, rate, arbiter, cycles, seed))
+                        .collect();
+                    assert_eq!(axis, scalar, "{params} rate {rate} arbiter {arbiter:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn lane_estimates_carry_arbitrary_workloads() {
-        // The generic entry point: one hot-spot workload per lane, again
+    fn seed_axis_estimates_carry_arbitrary_workloads() {
+        // The generic entry point: one hot-spot workload per seed, again
         // bit-identical to per-seed estimate_pa_with.
         use edn_traffic::HotSpotTraffic;
         let params = EdnParams::new(16, 4, 4, 2).unwrap();
         let seeds: Vec<u64> = (0..12).collect();
         let hot_spot = || HotSpotTraffic::new(params.inputs(), params.outputs(), 1.0, 7, 0.25);
-        let lanes = estimate_pa_lanes(&params, |_seed| hot_spot(), ArbiterKind::Random, 30, &seeds);
+        let axis =
+            estimate_pa_seeds_with(&params, |_seed| hot_spot(), ArbiterKind::Random, 30, &seeds);
         let scalar: Vec<AcceptanceEstimate> = seeds
             .iter()
             .map(|&seed| {
@@ -580,22 +520,7 @@ mod tests {
                 estimate_pa_with(&params, &mut workload, ArbiterKind::Random, 30, seed)
             })
             .collect();
-        assert_eq!(lanes, scalar);
-    }
-
-    #[test]
-    fn lane_estimates_fall_back_on_unsupported_shapes() {
-        // A shape the mask engine rejects (a > 64) must transparently
-        // take the scalar path and still match per-seed estimates.
-        let params = EdnParams::new(128, 128, 1, 1).unwrap();
-        assert!(!edn_core::LaneEngine::supports(&params));
-        let seeds = [1u64, 2, 3];
-        let lanes = estimate_pa_seeds(&params, 0.5, ArbiterKind::Random, 10, &seeds);
-        let scalar: Vec<AcceptanceEstimate> = seeds
-            .iter()
-            .map(|&seed| estimate_pa(&params, 0.5, ArbiterKind::Random, 10, seed))
-            .collect();
-        assert_eq!(lanes, scalar);
+        assert_eq!(axis, scalar);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 /// ([`edn_core::RoutingEngine::begin_cluster_session`]), and this alias
 /// keeps the simulator API stable. [`Schedule::Random`] is the paper's
 /// model; [`Schedule::GreedyDistinct`] the cheap conflict-avoiding
-/// alternative its reference [31] gestures at.
+/// alternative its reference \[31\] gestures at.
 pub use edn_core::ClusterSchedule as Schedule;
 
 /// The result of routing one permutation to completion.

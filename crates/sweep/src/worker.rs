@@ -12,7 +12,7 @@
 //! distinct shape is compiled (or loaded from a `--fabric` database)
 //! exactly once per process, not once per worker.
 
-use edn_core::{EdnParams, FaultSet, LaneEngine, RouteRequest, RoutingEngine, SessionState};
+use edn_core::{EdnParams, FaultSet, RouteRequest, RoutingEngine, SessionState};
 
 /// Cached per-worker state: engines, fault sets, and a request buffer.
 ///
@@ -40,11 +40,6 @@ pub struct SweepWorker {
     /// (resubmission runs, cluster drains) at a recurring shape reuses
     /// every resident buffer with a single cache lookup.
     engines: Vec<(EdnParams, RoutingEngine, SessionState)>,
-    /// Lane engines cached beside the scalar ones, so the seed axis of a
-    /// sweep (64 Monte-Carlo replicas per pass) rewires each distinct
-    /// fabric exactly once, same as the scalar path. Only shapes
-    /// [`LaneEngine::supports`] accepts are ever inserted.
-    lanes: Vec<(EdnParams, LaneEngine)>,
     faults: Vec<((EdnParams, u64, u64), FaultSet)>,
     requests: Vec<RouteRequest>,
 }
@@ -93,29 +88,6 @@ impl SweepWorker {
     pub fn engine(&mut self, params: &EdnParams) -> &mut RoutingEngine {
         let position = self.ensure_engine(params);
         &mut self.engines[position].1
-    }
-
-    /// The cached [`LaneEngine`] for `params`, wiring the bit-parallel
-    /// fabric on first request, or `None` when the shape exceeds the lane
-    /// engine's mask widths ([`LaneEngine::supports`]) — callers then
-    /// stay on the scalar [`SweepWorker::engine`] path. The `EDN_LANES=0`
-    /// kill-switch ([`edn_core::lanes_enabled`]) also disables the cache,
-    /// so sweeps forced scalar never wire lane buffers at all.
-    pub fn lane_engine(&mut self, params: &EdnParams) -> Option<&mut LaneEngine> {
-        if !edn_core::lanes_enabled() || !LaneEngine::supports(params) {
-            return None;
-        }
-        let position = match self.lanes.iter().position(|(p, _)| p == params) {
-            Some(position) => position,
-            None => {
-                self.lanes.push((
-                    *params,
-                    LaneEngine::with_wiring(crate::fabric::wiring_for(params)),
-                ));
-                self.lanes.len() - 1
-            }
-        };
-        Some(&mut self.lanes[position].1)
     }
 
     /// The cached engine for `params` together with its cached session
@@ -306,52 +278,6 @@ mod tests {
             .run_to_completion(1 << 20);
         assert_eq!(cached_cycles, fresh_cycles);
         assert_eq!(cached_counts, fresh_session.delivered_per_cycle());
-    }
-
-    #[test]
-    fn lane_engines_are_cached_per_shape() {
-        let mut worker = SweepWorker::new();
-        let a = params(16, 4, 4, 2);
-        let b = params(8, 4, 2, 2);
-        assert!(worker.lane_engine(&a).is_some());
-        assert!(worker.lane_engine(&b).is_some());
-        worker.lane_engine(&a);
-        assert_eq!(worker.lanes.len(), 2);
-        // Unsupported shapes never enter the cache.
-        let wide = params(128, 128, 1, 1);
-        assert!(worker.lane_engine(&wide).is_none());
-        assert_eq!(worker.lanes.len(), 2);
-    }
-
-    #[test]
-    fn cached_lane_engine_routes_like_the_scalar_engine() {
-        let p = params(16, 4, 4, 2);
-        let mut worker = SweepWorker::new();
-        // Warm the cache with unrelated traffic first.
-        {
-            let warm: Vec<RouteRequest> = (0..16).map(|s| RouteRequest::new(s, 0)).collect();
-            let engine = worker.lane_engine(&p).unwrap();
-            engine.route_lanes(&[warm.as_slice()], &mut [PriorityArbiter::new()]);
-        }
-        let batches: Vec<Vec<RouteRequest>> = (0..3u64)
-            .map(|lane| {
-                (0..p.inputs())
-                    .map(|s| RouteRequest::new(s, (s * 5 + lane) % p.outputs()))
-                    .collect()
-            })
-            .collect();
-        let slices: Vec<&[RouteRequest]> = batches.iter().map(Vec::as_slice).collect();
-        let mut arbiters = [
-            PriorityArbiter::new(),
-            PriorityArbiter::new(),
-            PriorityArbiter::new(),
-        ];
-        let engine = worker.lane_engine(&p).unwrap();
-        let outcomes = engine.route_lanes(&slices, &mut arbiters);
-        let mut scalar = RoutingEngine::from_params(p);
-        for (batch, outcome) in batches.iter().zip(outcomes) {
-            assert_eq!(outcome, scalar.route(batch, &mut PriorityArbiter::new()));
-        }
     }
 
     #[test]

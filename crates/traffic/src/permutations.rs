@@ -9,7 +9,7 @@
 
 use edn_core::RouteRequest;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A validated permutation of `0..n`, usable as a one-cycle workload.
 ///
@@ -230,48 +230,6 @@ impl Permutation {
         );
     }
 
-    /// Fills `packed` (cleared first, capacity reused) with one full
-    /// request batch per seed: up to [`edn_core::MAX_LANES`] independent
-    /// uniformly random permutations laid out lane-major, lane `i`
-    /// occupying `packed[i * n .. (i + 1) * n]` for `n = self.len()`.
-    ///
-    /// Each lane draws its own RNG stream `R::seed_from_u64(seeds[i])`
-    /// (the coordinate seed scheme the Monte-Carlo sweeps use), so lane
-    /// `i`'s segment is **bit-identical** to the scalar sequence
-    /// [`Permutation::randomize_in_place`] with that stream followed by
-    /// [`Permutation::fill_requests`] — lanes are pure functions of
-    /// their seeds, independent of how a sweep partitions the seed axis
-    /// across worker threads. `self` is the reshuffle scratch; it is
-    /// left holding the last lane's permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds.len() > edn_core::MAX_LANES`.
-    pub fn fill_requests_lanes<R: Rng + SeedableRng>(
-        &mut self,
-        seeds: &[u64],
-        packed: &mut Vec<RouteRequest>,
-    ) {
-        assert!(
-            seeds.len() <= edn_core::MAX_LANES,
-            "lane count {} out of range (0..={})",
-            seeds.len(),
-            edn_core::MAX_LANES
-        );
-        packed.clear();
-        packed.reserve(self.map.len() * seeds.len());
-        for &seed in seeds {
-            let mut rng = R::seed_from_u64(seed);
-            self.randomize_in_place(&mut rng);
-            packed.extend(
-                self.map
-                    .iter()
-                    .enumerate()
-                    .map(|(source, &tag)| RouteRequest::new(source as u64, tag)),
-            );
-        }
-    }
-
     /// A partial batch: each source participates with probability `rate`
     /// (still conflict-free on outputs, being a sub-permutation).
     ///
@@ -453,72 +411,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         p.fill_partial_requests(0.5, &mut rng, &mut batch);
         assert!(batch.len() <= 16);
-    }
-
-    #[test]
-    fn fill_requests_lanes_matches_scalar_per_seed_fills() {
-        // Every lane's packed segment must be bit-identical to the scalar
-        // randomize_in_place + fill_requests sequence under that seed.
-        let n = 64u64;
-        let seeds: Vec<u64> = (0..17).map(|s| s * 13 + 1).collect();
-        let mut scratch = Permutation::identity(n);
-        let mut packed = Vec::new();
-        scratch.fill_requests_lanes::<StdRng>(&seeds, &mut packed);
-        assert_eq!(packed.len(), n as usize * seeds.len());
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut scalar = Permutation::identity(n);
-            scalar.randomize_in_place(&mut StdRng::seed_from_u64(seed));
-            let mut batch = Vec::new();
-            scalar.fill_requests(&mut batch);
-            let segment = &packed[lane * n as usize..(lane + 1) * n as usize];
-            assert_eq!(segment, batch.as_slice(), "lane {lane} seed {seed}");
-            let tags: Vec<u64> = segment.iter().map(|r| r.tag).collect();
-            assert_is_permutation(&Permutation::from_map(tags).expect("lane is a permutation"));
-        }
-        // The buffer is reused, not regrown.
-        let capacity = packed.capacity();
-        scratch.fill_requests_lanes::<StdRng>(&seeds, &mut packed);
-        assert_eq!(packed.capacity(), capacity);
-    }
-
-    #[test]
-    fn fill_requests_lanes_is_deterministic_across_thread_partitions() {
-        // Lanes are pure functions of their seeds, so a sweep may split
-        // the seed axis across any worker count and reassemble the same
-        // packed buffer. Emulate --threads 1/2/4: partition the seeds,
-        // fill each partition on its own thread with its own scratch
-        // permutation, and compare the reassembled buffers.
-        let n = 32u64;
-        let seeds: Vec<u64> = (0..24).map(|s| s * 7 + 5).collect();
-        let mut reference = Vec::new();
-        Permutation::identity(n).fill_requests_lanes::<StdRng>(&seeds, &mut reference);
-        for threads in [1usize, 2, 4] {
-            let chunk = seeds.len().div_ceil(threads);
-            let mut parts: Vec<Vec<RouteRequest>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = seeds
-                    .chunks(chunk)
-                    .map(|chunk_seeds| {
-                        scope.spawn(move || {
-                            let mut packed = Vec::new();
-                            Permutation::identity(n)
-                                .fill_requests_lanes::<StdRng>(chunk_seeds, &mut packed);
-                            packed
-                        })
-                    })
-                    .collect();
-                parts = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            });
-            let reassembled: Vec<RouteRequest> = parts.into_iter().flatten().collect();
-            assert_eq!(reassembled, reference, "threads {threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn fill_requests_lanes_rejects_too_many_lanes() {
-        let seeds = vec![0u64; edn_core::MAX_LANES + 1];
-        Permutation::identity(4).fill_requests_lanes::<StdRng>(&seeds, &mut Vec::new());
     }
 
     #[test]

@@ -2,10 +2,13 @@
 
 use crate::network::{ArbiterKind, NetworkSim};
 use crate::stats::RunningStats;
-use edn_core::{BatchOutcomeView, CycleDriver, EdnParams, RouteRequest, SessionState};
+use edn_core::{
+    compile_shared, BatchOutcomeView, CycleDriver, EdnParams, RouteRequest, SessionState,
+};
 use edn_traffic::{Permutation, UniformTraffic, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// A measured acceptance probability with its sampling uncertainty.
 ///
@@ -61,6 +64,22 @@ pub fn estimate_pa_with<W: Workload>(
     cycles: u32,
     seed: u64,
 ) -> AcceptanceEstimate {
+    let mut sim = NetworkSim::new(*params, arbiter, seed ^ ARBITER_SALT);
+    estimate_on(&mut sim, workload, cycles, seed)
+}
+
+/// The arbiter stream of seed `s` is seeded with `s ^ ARBITER_SALT`, so it
+/// never coincides with the workload stream seeded with `s`.
+const ARBITER_SALT: u64 = 0xA5A5_5A5A_A5A5_5A5A;
+
+/// [`estimate_pa_with`] on a freshly built simulator `sim` (its arbiter
+/// already seeded for `seed`).
+fn estimate_on<W: Workload>(
+    sim: &mut NetworkSim,
+    workload: &mut W,
+    cycles: u32,
+    seed: u64,
+) -> AcceptanceEstimate {
     /// A [`Workload`] as a session driver: refill the batch every cycle,
     /// fold per-cycle acceptance into running statistics.
     struct WorkloadDriver<'a, W> {
@@ -88,7 +107,6 @@ pub fn estimate_pa_with<W: Workload>(
         }
     }
 
-    let mut sim = NetworkSim::new(*params, arbiter, seed ^ 0xA5A5_5A5A_A5A5_5A5A);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = SessionState::new();
     let mut driver = WorkloadDriver {
@@ -124,7 +142,7 @@ pub fn estimate_pa_with_reference<W: Workload>(
     cycles: u32,
     seed: u64,
 ) -> AcceptanceEstimate {
-    let mut sim = NetworkSim::new(*params, arbiter, seed ^ 0xA5A5_5A5A_A5A5_5A5A);
+    let mut sim = NetworkSim::new(*params, arbiter, seed ^ ARBITER_SALT);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut batch = Vec::with_capacity(params.inputs() as usize);
     let mut per_cycle = RunningStats::new();
@@ -160,7 +178,9 @@ pub fn estimate_pa_with_reference<W: Workload>(
 /// **bit-identical** — `f64` fields included — to [`estimate_pa_with`]
 /// called with that workload and seed alone (each seed keeps its own
 /// workload RNG `seed` and arbiter stream
-/// `seed ^ 0xA5A5_5A5A_A5A5_5A5A`, the [`NetworkSim`] scheme).
+/// `seed ^ 0xA5A5_5A5A_A5A5_5A5A`, the [`NetworkSim`] scheme). The
+/// shape's wiring is compiled once for the whole axis and shared by
+/// every seed's simulator ([`NetworkSim::with_wiring`]).
 pub fn estimate_pa_seeds_with<W, F>(
     params: &EdnParams,
     mut workload_for: F,
@@ -172,11 +192,14 @@ where
     W: Workload,
     F: FnMut(u64) -> W,
 {
+    let wiring = compile_shared(*params);
     seeds
         .iter()
         .map(|&seed| {
             let mut workload = workload_for(seed);
-            estimate_pa_with(params, &mut workload, arbiter, cycles, seed)
+            let mut sim =
+                NetworkSim::with_wiring(Arc::clone(&wiring), arbiter, seed ^ ARBITER_SALT);
+            estimate_on(&mut sim, &mut workload, cycles, seed)
         })
         .collect()
 }

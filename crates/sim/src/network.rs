@@ -1,12 +1,13 @@
 //! The seeded, arbitrated network simulator.
 
 use edn_core::{
-    Arbiter, BatchOutcome, BatchOutcomeView, ClusterSchedule, CycleDriver, EdnParams, EdnTopology,
-    PriorityArbiter, RandomArbiter, Resubmit, RoundRobinArbiter, RouteRequest, RoutingEngine,
-    SessionState,
+    compile_shared, Arbiter, BatchOutcome, BatchOutcomeView, ClusterSchedule, CompiledWiring,
+    CycleDriver, EdnParams, EdnTopology, PriorityArbiter, RandomArbiter, Resubmit,
+    RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Which bucket-arbitration policy the simulated switches use.
 ///
@@ -79,8 +80,16 @@ impl NetworkSim {
     /// Creates a simulator for `params` with the given arbitration policy.
     /// `seed` drives random arbitration (and nothing else).
     pub fn new(params: EdnParams, arbiter: ArbiterKind, seed: u64) -> Self {
+        Self::with_wiring(compile_shared(params), arbiter, seed)
+    }
+
+    /// As [`NetworkSim::new`], on an already-compiled `wiring` — the
+    /// cheap constructor for many simulators of one shape (one per seed
+    /// of a seed axis), which then share one set of wiring tables instead
+    /// of compiling and validating their own.
+    pub fn with_wiring(wiring: Arc<CompiledWiring>, arbiter: ArbiterKind, seed: u64) -> Self {
         NetworkSim {
-            engine: RoutingEngine::from_params(params),
+            engine: RoutingEngine::with_wiring(wiring),
             arbiter: arbiter.build(seed),
             kind: arbiter,
             cycles_routed: 0,

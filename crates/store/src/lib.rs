@@ -33,11 +33,18 @@
 //!
 //! Each log line is `INDEX HASH PAYLOAD` where `PAYLOAD` is the row's
 //! cells, backslash-escaped and tab-joined, and `HASH` is the 64-bit
-//! FNV-1a of the payload bytes. **Entries are never trusted**: a line
-//! that fails to parse, fails its hash, or sits truncated at the end of
-//! a log is counted as corrupt and skipped — the caller simply
-//! recomputes (and recommits) that row. A later commit of the same index
+//! FNV-1a of `INDEX PAYLOAD` — the line with its hash field cut out, so
+//! a damaged index fails the check just like a damaged cell. **Entries
+//! are never trusted**: a line that is not UTF-8, fails to parse, fails
+//! its hash, or sits truncated at the end of a log is counted as corrupt
+//! and skipped — the caller simply recomputes (and recommits) that row.
+//! Lines written before the hash covered the index fail the check the
+//! same way and are recomputed once. A later commit of the same index
 //! supersedes an earlier one.
+//!
+//! Loaded rows are kept as compact [`Row`]s — one `String` holding the
+//! decoded cells plus the cell boundaries — so a table of many short
+//! rows costs two heap blocks per row, not one per cell.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,12 +61,85 @@ pub const LOG_EXTENSION: &str = "rows";
 /// FNV-1a, the 64-bit variant: the workspace's canonical stable hash
 /// (also used for artifact spec hashes in `edn_sweep`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_continue(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Folds more bytes into a running FNV-1a hash, so a hash over several
+/// slices equals [`fnv1a`] over their concatenation.
+fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
-        hash ^= byte as u64;
+        hash ^= u64::from(byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// One row's cells, stored compactly: the decoded cells joined by tabs in
+/// one `String`, plus the end offset of every cell (a cell may itself
+/// contain tabs; the offsets, not the separators, delimit cells).
+///
+/// # Examples
+///
+/// ```
+/// use edn_store::Row;
+///
+/// let row = Row::from_cells(&["EDN(4,2,2,2)", "tab\there", ""]);
+/// assert_eq!(row.len(), 3);
+/// assert_eq!(row.cell(1), "tab\there");
+/// assert_eq!(row.cells().collect::<Vec<_>>(), ["EDN(4,2,2,2)", "tab\there", ""]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Row {
+    text: String,
+    ends: Box<[usize]>,
+}
+
+impl Row {
+    /// Packs `cells` into one row.
+    pub fn from_cells<S: AsRef<str>>(cells: &[S]) -> Row {
+        let bytes = cells.iter().map(|c| c.as_ref().len() + 1).sum::<usize>();
+        let mut text = String::with_capacity(bytes.saturating_sub(1));
+        let mut ends = Vec::with_capacity(cells.len());
+        for (index, cell) in cells.iter().enumerate() {
+            if index > 0 {
+                text.push('\t');
+            }
+            text.push_str(cell.as_ref());
+            ends.push(text.len());
+        }
+        Row {
+            text,
+            ends: ends.into_boxed_slice(),
+        }
+    }
+
+    /// The number of cells.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` for a row of zero cells.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Cell `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn cell(&self, index: usize) -> &str {
+        let start = match index {
+            0 => 0,
+            _ => self.ends[index - 1] + 1,
+        };
+        &self.text[start..self.ends[index]]
+    }
+
+    /// The cells in order.
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
+        (0..self.len()).map(|index| self.cell(index))
+    }
 }
 
 /// A handle on one cache directory.
@@ -97,16 +177,21 @@ impl Store {
     /// commits.
     ///
     /// Corrupt log lines are skipped (and counted), never trusted; an
-    /// absent directory is an empty table.
+    /// absent directory is an empty table. Each log is read as bytes and
+    /// checked line by line, so one damaged byte — a non-UTF-8 line, a
+    /// write torn inside a multi-byte character — costs only its own row.
+    /// Loading is one pass over the bytes plus a stable sort of the
+    /// entries by index, which is linear when the logs hold ascending
+    /// runs of indices (as a serial run or a shard writes them).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures other than the directory not existing.
     pub fn table(&self, key: u64) -> io::Result<TableCache> {
         let dir = self.table_dir(key);
-        let mut entries = BTreeMap::new();
         let mut corrupt = 0usize;
         let mut superseded = 0usize;
+        let mut scratch = Vec::new();
         let mut logs: Vec<PathBuf> = match fs::read_dir(&dir) {
             Ok(read) => read
                 .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -117,29 +202,37 @@ impl Store {
         };
         // Deterministic read order so "last commit wins" is stable.
         logs.sort();
+        let mut loaded = Vec::new();
         for log in logs {
-            let text = fs::read_to_string(&log)?;
-            // A log that does not end in a newline was cut off mid-write
-            // (crash, full disk): its final line is suspect, skip it.
-            let complete = text.ends_with('\n');
-            let lines: Vec<&str> = text.lines().collect();
-            let valid_lines = if complete {
-                lines.len()
-            } else {
-                corrupt += usize::from(!lines.is_empty());
-                lines.len().saturating_sub(1)
-            };
-            for line in &lines[..valid_lines] {
-                match parse_entry(line) {
-                    Some((index, cells)) => {
-                        if entries.insert(index, cells).is_some() {
-                            superseded += 1;
-                        }
-                    }
+            let bytes = fs::read(&log)?;
+            // Bytes after the last newline were cut off mid-write (crash,
+            // full disk): that final line is suspect, skip it.
+            let complete = bytes
+                .iter()
+                .rposition(|&byte| byte == b'\n')
+                .map_or(0, |last| last + 1);
+            corrupt += usize::from(complete < bytes.len());
+            for_each_line(&bytes[..complete], |line| {
+                match line.and_then(|line| parse_entry(line, &mut scratch)) {
+                    Some(entry) => loaded.push(entry),
                     None => corrupt += 1,
                 }
-            }
+            });
         }
+        // "Last commit wins": the stable sort keeps each index's commits
+        // in read order, and the dedup swaps the later one into the
+        // retained slot before dropping the earlier.
+        loaded.sort_by_key(|&(index, _)| index);
+        loaded.dedup_by(|later, kept| {
+            let duplicate = later.0 == kept.0;
+            if duplicate {
+                std::mem::swap(later, kept);
+                superseded += 1;
+            }
+            duplicate
+        });
+        // Sorted, unique keys: the map is bulk-built in linear time.
+        let entries: BTreeMap<usize, Row> = loaded.into_iter().collect();
         Ok(TableCache {
             dir,
             entries,
@@ -190,14 +283,15 @@ impl Store {
 #[derive(Debug)]
 pub struct TableCache {
     dir: PathBuf,
-    entries: BTreeMap<usize, Vec<String>>,
+    entries: BTreeMap<usize, Row>,
     corrupt: usize,
     superseded: usize,
     writer: Option<BufWriter<fs::File>>,
 }
 
 impl TableCache {
-    /// Verified entries available for replay.
+    /// Verified entries available for replay (rows moved out with
+    /// [`take`](Self::take) no longer count).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -221,8 +315,15 @@ impl TableCache {
     }
 
     /// The verified cells of row `index`, if cached.
-    pub fn lookup(&self, index: usize) -> Option<&[String]> {
-        self.entries.get(&index).map(Vec::as_slice)
+    pub fn lookup(&self, index: usize) -> Option<&Row> {
+        self.entries.get(&index)
+    }
+
+    /// Moves the verified cells of row `index` out of the cache, if
+    /// cached — the replay path's copy-free [`lookup`](Self::lookup). A
+    /// later `lookup` or `take` of the same index finds nothing.
+    pub fn take(&mut self, index: usize) -> Option<Row> {
+        self.entries.remove(&index)
     }
 
     /// Appends row `index` to this process's log and flushes, so the
@@ -260,22 +361,72 @@ impl TableCache {
     }
 }
 
-/// Renders one log line: `INDEX HASH PAYLOAD`.
-fn render_entry(index: usize, cells: &[String]) -> String {
-    let payload = encode_cells(cells);
-    format!("{index} {:016x} {payload}", fnv1a(payload.as_bytes()))
+/// Calls `each` with every line of `bytes` (each newline-terminated),
+/// without its newline — or with `None` for a line that is not UTF-8.
+/// Validation runs over long valid stretches at once, and the lines are
+/// split with `str`'s fast byte search; a bad byte costs one extra pass
+/// over its stretch, so the whole walk stays linear.
+fn for_each_line<'a>(bytes: &'a [u8], mut each: impl FnMut(Option<&'a str>)) {
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let (valid, bad_line_end) = match std::str::from_utf8(rest) {
+            Ok(text) => (text, None),
+            Err(error) => {
+                // Keep the lines before the bad byte, drop the one holding it.
+                let bad = error.valid_up_to();
+                let line_start = rest[..bad]
+                    .iter()
+                    .rposition(|&byte| byte == b'\n')
+                    .map_or(0, |at| at + 1);
+                let line_end = rest[bad..]
+                    .iter()
+                    .position(|&byte| byte == b'\n')
+                    .map_or(rest.len(), |at| bad + at + 1);
+                let valid = std::str::from_utf8(&rest[..line_start]).unwrap_or_default();
+                (valid, Some(line_end))
+            }
+        };
+        valid
+            .split_terminator('\n')
+            .for_each(|line| each(Some(line)));
+        match bad_line_end {
+            Some(end) => {
+                each(None);
+                rest = &rest[end..];
+            }
+            None => break,
+        }
+    }
 }
 
-/// Parses and verifies one log line; `None` means corrupt.
-fn parse_entry(line: &str) -> Option<(usize, Vec<String>)> {
-    let mut parts = line.splitn(3, ' ');
-    let index: usize = parts.next()?.parse().ok()?;
-    let recorded = u64::from_str_radix(parts.next()?, 16).ok()?;
-    let payload = parts.next()?;
-    if fnv1a(payload.as_bytes()) != recorded {
+/// Renders one log line: `INDEX HASH PAYLOAD`.
+fn render_entry(index: usize, cells: &[String]) -> String {
+    let index = index.to_string();
+    let payload = encode_cells(cells);
+    format!("{index} {:016x} {payload}", entry_hash(&index, &payload))
+}
+
+/// The hash a log line records: FNV-1a over `INDEX PAYLOAD`, i.e. the
+/// line without its hash field.
+fn entry_hash(index: &str, payload: &str) -> u64 {
+    let hash = fnv1a_continue(fnv1a(index.as_bytes()), b" ");
+    fnv1a_continue(hash, payload.as_bytes())
+}
+
+/// Parses and verifies one log line; `None` means corrupt. `scratch`
+/// is reused across lines for the cell boundaries.
+fn parse_entry(line: &str, scratch: &mut Vec<usize>) -> Option<(usize, Row)> {
+    let (index_text, rest) = line.split_once(' ')?;
+    let (hash_text, payload) = rest.split_once(' ')?;
+    let index: usize = index_text.parse().ok()?;
+    if hash_text.len() != 16 {
         return None;
     }
-    Some((index, decode_cells(payload)?))
+    let recorded = u64::from_str_radix(hash_text, 16).ok()?;
+    if entry_hash(index_text, payload) != recorded {
+        return None;
+    }
+    Some((index, decode_row(payload, scratch)?))
 }
 
 /// Tab-joins the cells after backslash-escaping, so any cell content —
@@ -299,27 +450,50 @@ fn encode_cells(cells: &[String]) -> String {
     out
 }
 
-/// Inverse of [`encode_cells`]; `None` on an invalid escape (corrupt).
-fn decode_cells(payload: &str) -> Option<Vec<String>> {
-    let mut cells = vec![String::new()];
-    let mut chars = payload.chars();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '\t' => cells.push(String::new()),
-            '\\' => {
-                let unescaped = match chars.next()? {
-                    '\\' => '\\',
-                    't' => '\t',
-                    'n' => '\n',
-                    'r' => '\r',
-                    _ => return None,
-                };
-                cells.last_mut().expect("non-empty").push(unescaped);
+/// Inverse of [`encode_cells`], straight into a [`Row`]; `None` on an
+/// invalid escape (corrupt). `scratch` collects the cell boundaries.
+fn decode_row(payload: &str, scratch: &mut Vec<usize>) -> Option<Row> {
+    if payload.contains('\\') {
+        // Escapes shift the boundaries: take the slow path.
+        return decode_escaped(payload);
+    }
+    // Nothing escaped: the payload is the row text verbatim.
+    scratch.clear();
+    scratch.extend(payload.match_indices('\t').map(|(at, _)| at));
+    scratch.push(payload.len());
+    Some(Row {
+        text: payload.to_owned(),
+        ends: scratch.as_slice().into(),
+    })
+}
+
+/// [`decode_row`] for a payload holding at least one escape.
+fn decode_escaped(payload: &str) -> Option<Row> {
+    let mut text = Vec::with_capacity(payload.len());
+    let mut ends = Vec::new();
+    let mut bytes = payload.bytes();
+    while let Some(byte) = bytes.next() {
+        match byte {
+            b'\t' => {
+                ends.push(text.len());
+                text.push(b'\t');
             }
-            ch => cells.last_mut().expect("non-empty").push(ch),
+            b'\\' => text.push(match bytes.next()? {
+                b'\\' => b'\\',
+                b't' => b'\t',
+                b'n' => b'\n',
+                b'r' => b'\r',
+                _ => return None,
+            }),
+            byte => text.push(byte),
         }
     }
-    Some(cells)
+    ends.push(text.len());
+    // Only ASCII escapes were rewritten, so the text is still UTF-8.
+    Some(Row {
+        text: String::from_utf8(text).ok()?,
+        ends: ends.into_boxed_slice(),
+    })
 }
 
 #[cfg(test)]
@@ -351,8 +525,8 @@ mod tests {
         // A fresh load sees both entries, verbatim.
         let reloaded = store.table(0xA).unwrap();
         assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded.lookup(3), Some(&cells[..]));
-        assert_eq!(reloaded.lookup(0), Some(&["x".to_string()][..]));
+        assert_eq!(reloaded.lookup(3), Some(&Row::from_cells(&cells)));
+        assert_eq!(reloaded.lookup(0), Some(&Row::from_cells(&["x"])));
         assert_eq!(reloaded.lookup(1), None);
         assert_eq!(reloaded.corrupt(), 0);
         assert_eq!(reloaded.superseded(), 0);
@@ -372,8 +546,14 @@ mod tests {
             .unwrap()
             .commit(0, &["b".to_string()])
             .unwrap();
-        assert_eq!(store.table(1).unwrap().lookup(0), Some(&["a".into()][..]));
-        assert_eq!(store.table(2).unwrap().lookup(0), Some(&["b".into()][..]));
+        assert_eq!(
+            store.table(1).unwrap().lookup(0),
+            Some(&Row::from_cells(&["a"]))
+        );
+        assert_eq!(
+            store.table(2).unwrap().lookup(0),
+            Some(&Row::from_cells(&["b"]))
+        );
         assert_eq!(store.keys().unwrap(), vec![1, 2]);
         assert!(store.evict(1).unwrap());
         assert!(!store.evict(1).unwrap());
@@ -398,7 +578,7 @@ mod tests {
         let text = fs::read_to_string(&log).unwrap();
         fs::write(&log, &text[..text.len() - 2]).unwrap();
         let reloaded = store.table(7).unwrap();
-        assert_eq!(reloaded.lookup(0), Some(&["keep".into()][..]));
+        assert_eq!(reloaded.lookup(0), Some(&Row::from_cells(&["keep"])));
         assert_eq!(reloaded.lookup(1), None, "truncated entry must not load");
         assert_eq!(reloaded.corrupt(), 1);
         fs::remove_dir_all(store.root()).ok();
@@ -452,7 +632,7 @@ mod tests {
         // Two logs now exist; the later one (sorted last by its
         // timestamped name) wins, and the loser is counted superseded.
         let reloaded = store.table(4).unwrap();
-        assert_eq!(reloaded.lookup(2), Some(&["new".into()][..]));
+        assert_eq!(reloaded.lookup(2), Some(&Row::from_cells(&["new"])));
         assert_eq!(reloaded.superseded(), 1);
         assert_eq!(reloaded.corrupt(), 0);
         fs::remove_dir_all(store.root()).ok();
@@ -478,7 +658,7 @@ mod tests {
         )
         .unwrap();
         let table = store.table(8).unwrap();
-        assert_eq!(table.lookup(0), Some(&["new".to_string()][..]));
+        assert_eq!(table.lookup(0), Some(&Row::from_cells(&["new"])));
         assert_eq!(table.superseded(), 1);
         fs::remove_dir_all(store.root()).ok();
     }
@@ -503,6 +683,115 @@ mod tests {
         fs::remove_dir_all(store.root()).ok();
     }
 
+    /// The path of the only log in table `key`'s directory.
+    fn only_log(store: &Store, key: u64) -> PathBuf {
+        let mut logs = fs::read_dir(store.table_dir(key)).unwrap();
+        let log = logs.next().unwrap().unwrap().path();
+        assert!(logs.next().is_none(), "one log expected");
+        log
+    }
+
+    #[test]
+    fn bad_bytes_cost_only_their_own_rows() {
+        let store = temp_store("bad_bytes");
+        let mut table = store.table(5).unwrap();
+        for row in 0..4 {
+            table.commit(row, &[format!("café {row}")]).unwrap();
+        }
+        drop(table);
+        let log = only_log(&store, 5);
+        let mut bytes = fs::read(&log).unwrap();
+        // Row 1: one invalid byte in the middle of the log (the lead
+        // byte of its `é` becomes 0xFF, which is never UTF-8).
+        let lines: Vec<usize> = bytes
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b'\n')
+            .map(|(at, _)| at)
+            .collect();
+        let row1 = &bytes[lines[0] + 1..lines[1]];
+        let lead = lines[0] + 1 + row1.iter().position(|&b| b == 0xC3).unwrap();
+        bytes[lead] = 0xFF;
+        // Row 3: the write tore inside the final line's `é`, leaving its
+        // lead byte without the continuation byte.
+        let tail = lines[2] + 1;
+        let torn = tail + bytes[tail..].iter().position(|&b| b == 0xC3).unwrap() + 1;
+        bytes.truncate(torn);
+        fs::write(&log, &bytes).unwrap();
+        assert!(std::str::from_utf8(&bytes).is_err(), "log is not UTF-8");
+
+        let reloaded = store.table(5).unwrap();
+        assert_eq!(reloaded.lookup(0), Some(&Row::from_cells(&["café 0"])));
+        assert_eq!(reloaded.lookup(1), None, "invalid line must not load");
+        assert_eq!(reloaded.lookup(2), Some(&Row::from_cells(&["café 2"])));
+        assert_eq!(reloaded.lookup(3), None, "torn line must not load");
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!(reloaded.corrupt(), 2);
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn the_hash_covers_the_index() {
+        let store = temp_store("index_hash");
+        let mut table = store.table(11).unwrap();
+        table.commit(12, &["twelve".to_string()]).unwrap();
+        drop(table);
+        let log = only_log(&store, 11);
+        let text = fs::read_to_string(&log).unwrap();
+        assert!(text.starts_with("12 "));
+        // A flipped index digit with the payload intact must not replay
+        // the row at the wrong index.
+        fs::write(&log, text.replacen("12 ", "13 ", 1)).unwrap();
+        let reloaded = store.table(11).unwrap();
+        assert_eq!(reloaded.lookup(13), None, "doctored index loaded");
+        assert_eq!(reloaded.lookup(12), None);
+        assert_eq!(reloaded.corrupt(), 1);
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn payload_only_hashes_are_recomputed() {
+        // The line format before the hash covered the index: such lines
+        // fail the check and their rows are recomputed, never trusted.
+        let store = temp_store("payload_hash");
+        let dir = store.table_dir(12);
+        fs::create_dir_all(&dir).unwrap();
+        let payload = "old\tformat";
+        let line = format!("0 {:016x} {payload}\n", fnv1a(payload.as_bytes()));
+        fs::write(dir.join("legacy.rows"), line).unwrap();
+        let table = store.table(12).unwrap();
+        assert!(table.is_empty());
+        assert_eq!(table.corrupt(), 1);
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn take_moves_rows_out() {
+        let store = temp_store("take");
+        let mut table = store.table(13).unwrap();
+        table
+            .commit(4, &["a\tb".to_string(), "c".to_string()])
+            .unwrap();
+        drop(table);
+        let mut reloaded = store.table(13).unwrap();
+        let row = reloaded.take(4).unwrap();
+        assert_eq!(row.cells().collect::<Vec<_>>(), ["a\tb", "c"]);
+        assert_eq!(reloaded.take(4), None, "a row moves out once");
+        assert_eq!(reloaded.lookup(4), None);
+        assert!(reloaded.is_empty());
+        fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn rows_index_cells_containing_tabs() {
+        let cells = ["", "\t", "a\tb\t", "é"];
+        let row = Row::from_cells(&cells);
+        assert_eq!(row.len(), 4);
+        assert!(!row.is_empty());
+        assert_eq!(row.cells().collect::<Vec<_>>(), cells);
+        assert!(Row::from_cells::<&str>(&[]).is_empty());
+    }
+
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a 64 test vectors.
@@ -521,9 +810,14 @@ mod tests {
         ] {
             let encoded = encode_cells(&cells);
             assert!(!encoded.contains('\n'), "log stays line-oriented");
-            assert_eq!(decode_cells(&encoded), Some(cells));
+            let decoded = decode_row(&encoded, &mut Vec::new());
+            assert_eq!(decoded, Some(Row::from_cells(&cells)));
         }
-        assert_eq!(decode_cells("bad\\q"), None, "unknown escape is corrupt");
-        assert_eq!(decode_cells("dangling\\"), None);
+        assert_eq!(
+            decode_row("bad\\q", &mut Vec::new()),
+            None,
+            "unknown escape"
+        );
+        assert_eq!(decode_row("dangling\\", &mut Vec::new()), None);
     }
 }

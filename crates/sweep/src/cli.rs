@@ -41,11 +41,11 @@ use crate::metrics::{
     TRACE_EXTENSION,
 };
 use crate::pool::run_indexed_counted;
-use crate::report::{render_json_row, Table};
+use crate::report::{JsonRows, Table};
 use crate::stream::{
     row_cache_key, shard_range, Provenance, RowSink, SchemaHeader, Shard, TableSchema,
 };
-use edn_store::{Store, TableCache};
+use edn_store::{Row, Store, TableCache};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,6 +55,12 @@ use std::time::Instant;
 
 /// The environment variable naming the default `--cache` directory.
 pub const CACHE_ENV: &str = "EDN_SWEEP_CACHE";
+
+/// The largest block of replayed rows [`Emission::run_table`] renders
+/// before handing it to the [`RowSink`]: large enough that a warm replay
+/// costs a handful of writes, small enough that the render buffer stays
+/// far below the size of a big table's artifact.
+pub(crate) const REPLAY_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Parsed sweep flags shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -548,9 +554,16 @@ impl Emission<'_> {
     /// derived from it can differ from the cold run's in its last
     /// printed digit; the artifact itself never differs.
     ///
-    /// Each row's JSON line is pushed to the artifact as its measurement
-    /// completes; the sink's reorder buffer restores grid order, so the
-    /// file grows incrementally during the sweep.
+    /// Rows reach the [`RowSink`] in two grains. Replayed rows are
+    /// rendered into contiguous blocks (one per run of consecutive hits,
+    /// capped at 64 KiB) and each block is written and
+    /// flushed **once, before any pool task starts**; a block that sits
+    /// after a still-unmeasured fresh row waits in the sink's reorder
+    /// buffer. Fresh rows are flushed **one by one** as their
+    /// measurements complete, so the file grows incrementally during the
+    /// sweep. Replayed cells move from the cache into `table` without
+    /// being copied; `replay` sees them through one scratch `Vec<String>`
+    /// whose strings are overwritten in place.
     ///
     /// Returns the auxiliary values in row order (the shard's rows only).
     pub fn run_table<S, T, I, F, R>(
@@ -567,32 +580,64 @@ impl Emission<'_> {
         R: Fn(&[String], usize) -> T,
     {
         let (range, base) = self.begin_table(table);
-        let title = table.title().to_string();
-        let headers = table.headers().to_vec();
+        let json = JsonRows::new(table.title(), table.headers());
 
         // Cache lookup before scheduling: replayed rows never reach the
-        // pool. `cached[local]` holds the trusted cells, `fresh` the
-        // local indices still to be measured.
-        let cache = self.open_table_cache(&title, &headers);
-        let mut cached: Vec<Option<Vec<String>>> = vec![None; range.len()];
-        let mut fresh: Vec<usize> = Vec::with_capacity(range.len());
-        let (corrupt, superseded) = match &cache {
-            Some(cache) => {
-                self.stats.corrupt += cache.corrupt();
-                self.stats.superseded += cache.superseded();
-                for (local, row) in range.clone().enumerate() {
-                    match cache.lookup(row) {
-                        Some(cells) => cached[local] = Some(cells.to_vec()),
-                        None => fresh.push(local),
+        // pool. `cached[local]` holds the trusted row moved out of the
+        // cache, `fresh` the local indices still to be measured.
+        let mut cache = self.open_table_cache(table.title(), table.headers());
+        let (corrupt, superseded) = cache
+            .as_ref()
+            .map_or((0, 0), |cache| (cache.corrupt(), cache.superseded()));
+        self.stats.corrupt += corrupt;
+        self.stats.superseded += superseded;
+        let mut cached: Vec<Option<Row>> = Vec::with_capacity(range.len());
+        let mut fresh: Vec<usize> = Vec::new();
+        {
+            // Replay the hits through the sink now, one block per run of
+            // consecutive hits; the reorder buffer holds any block that
+            // sits after a still-unmeasured fresh row.
+            let streaming = self.sink.is_some();
+            let mut sink = self
+                .sink
+                .as_ref()
+                .map(|sink| sink.lock().expect("sink poisoned"));
+            let mut block = String::new();
+            let (mut block_seq, mut block_rows) = (0, 0);
+            let mut flush = |block: &mut String, first: usize, rows: &mut usize| {
+                if let Some(sink) = sink.as_mut() {
+                    sink.push_block(first, *rows, block)
+                        .unwrap_or_else(|error| {
+                            panic!("{}: replaying cached rows: {error}", self.args.binary)
+                        });
+                }
+                block.clear();
+                *rows = 0;
+            };
+            for (local, row) in range.clone().enumerate() {
+                let hit = cache.as_mut().and_then(|cache| cache.take(row));
+                match &hit {
+                    Some(cells) if streaming => {
+                        if block_rows == 0 {
+                            block_seq = base + row;
+                        }
+                        json.render_into(&mut block, base + row, cells.cells());
+                        block.push('\n');
+                        block_rows += 1;
+                        if block.len() >= REPLAY_BLOCK_BYTES {
+                            flush(&mut block, block_seq, &mut block_rows);
+                        }
+                    }
+                    Some(_) => {}
+                    None => {
+                        flush(&mut block, block_seq, &mut block_rows);
+                        fresh.push(local);
                     }
                 }
-                (cache.corrupt(), cache.superseded())
+                cached.push(hit);
             }
-            None => {
-                fresh.extend(0..range.len());
-                (0, 0)
-            }
-        };
+            flush(&mut block, block_seq, &mut block_rows);
+        }
         let hits = range.len() - fresh.len();
         if let Some(heartbeat) = &self.heartbeat {
             if hits > 0 {
@@ -603,21 +648,6 @@ impl Emission<'_> {
             }
         }
 
-        // Replay the hits through the sink immediately; the reorder
-        // buffer holds any that sit after a still-unmeasured fresh row.
-        if let Some(sink) = &self.sink {
-            let mut sink = sink.lock().expect("sink poisoned");
-            for (local, cells) in cached.iter().enumerate() {
-                if let Some(cells) = cells {
-                    let seq = base + range.start + local;
-                    let line = render_json_row(seq, &title, &headers, cells);
-                    sink.push(seq, line).unwrap_or_else(|error| {
-                        panic!("{}: replaying cached row: {error}", self.args.binary)
-                    });
-                }
-            }
-        }
-
         // Measure only the misses, as pool tasks; commit each fresh row
         // to the cache as soon as it is measured and flushed. Each task
         // is timed into the latency histogram, and the heartbeat (when
@@ -625,6 +655,7 @@ impl Emission<'_> {
         let sink = &self.sink;
         let heartbeat = &self.heartbeat;
         let binary = &self.args.binary;
+        let json = &json;
         let start = range.start;
         let committed = AtomicUsize::new(0);
         let cache = cache.map(Mutex::new);
@@ -638,7 +669,8 @@ impl Emission<'_> {
                 let micros = u64::try_from(measured_at.elapsed().as_micros()).unwrap_or(u64::MAX);
                 latency.lock().expect("latency poisoned").record(micros);
                 if let Some(sink) = sink {
-                    let line = render_json_row(base + row, &title, &headers, &cells);
+                    let mut line = String::new();
+                    json.render_into(&mut line, base + row, cells.iter().map(String::as_str));
                     sink.lock()
                         .expect("sink poisoned")
                         .push(base + row, line)
@@ -672,7 +704,7 @@ impl Emission<'_> {
             self.stats.committed += committed;
         }
         self.telemetry.push(TableTelemetry {
-            title: title.clone(),
+            title: table.title().to_string(),
             rows: range.len(),
             hits,
             computed: fresh.len(),
@@ -684,18 +716,27 @@ impl Emission<'_> {
         });
         let mut fresh_results = fresh_results.into_iter();
         let mut auxes = Vec::with_capacity(range.len());
+        let mut scratch: Vec<String> = Vec::new();
         for (local, slot) in cached.into_iter().enumerate() {
-            let (cells, aux) = match slot {
-                Some(cells) => {
-                    let aux = replay(&cells, start + local);
-                    (cells, aux)
+            let aux = match slot {
+                Some(row) => {
+                    scratch.resize_with(row.len(), String::new);
+                    for (cell, text) in scratch.iter_mut().zip(row.cells()) {
+                        cell.clear();
+                        cell.push_str(text);
+                    }
+                    table.push_row(row);
+                    replay(&scratch, start + local)
                 }
-                None => fresh_results.next().expect(
-                    "pool returned fewer results than uncached rows — run_indexed_counted \
-                     yields exactly one result per fresh-row task",
-                ),
+                None => {
+                    let (cells, aux) = fresh_results.next().expect(
+                        "pool returned fewer results than uncached rows — run_indexed_counted \
+                         yields exactly one result per fresh-row task",
+                    );
+                    table.row(cells);
+                    aux
+                }
             };
-            table.row(cells);
             auxes.push(aux);
         }
         auxes
@@ -737,12 +778,14 @@ impl Emission<'_> {
             rows.len()
         );
         let (range, base) = self.begin_table(table);
+        let json = JsonRows::new(table.title(), table.headers());
         for (row, cells) in rows.into_iter().enumerate() {
             if !range.contains(&row) {
                 continue;
             }
             if let Some(sink) = &self.sink {
-                let line = render_json_row(base + row, table.title(), table.headers(), &cells);
+                let mut line = String::new();
+                json.render_into(&mut line, base + row, cells.iter().map(String::as_str));
                 sink.lock()
                     .expect("sink poisoned")
                     .push(base + row, line)

@@ -10,8 +10,12 @@
 //! non-finite float renderings (`NaN`/`inf`/`-inf`) become `null`, and
 //! everything else is an escaped string.
 
+use edn_store::Row;
+use std::fmt::Write as _;
+
 /// A minimal aligned-column text table (stdout-oriented; also exportable
-/// as CSV and JSON rows).
+/// as CSV and JSON rows). Rows are stored as compact [`Row`]s, so a row
+/// replayed from the row cache moves in without being rebuilt.
 ///
 /// # Examples
 ///
@@ -32,7 +36,7 @@
 pub struct Table {
     title: String,
     headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    rows: Vec<Row>,
 }
 
 impl Table {
@@ -51,8 +55,17 @@ impl Table {
     ///
     /// Panics if `cells.len()` differs from the header count.
     pub fn row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
+        self.push_row(Row::from_cells(&cells));
+    }
+
+    /// Appends one already-packed row (must match the header arity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from the header count.
+    pub fn push_row(&mut self, row: Row) {
+        assert_eq!(row.len(), self.headers.len(), "row arity mismatch");
+        self.rows.push(row);
     }
 
     /// The table title.
@@ -79,7 +92,7 @@ impl Table {
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (width, cell) in widths.iter_mut().zip(row) {
+            for (width, cell) in widths.iter_mut().zip(row.cells()) {
                 *width = (*width).max(cell.len());
             }
         }
@@ -97,7 +110,7 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             let line: Vec<String> = row
-                .iter()
+                .cells()
                 .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect();
@@ -119,8 +132,8 @@ impl Table {
     /// round-trips through a conforming CSV reader.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let write_row = |out: &mut String, cells: &[String]| {
-            for (index, cell) in cells.iter().enumerate() {
+        let write_row = |out: &mut String, cells: &mut dyn Iterator<Item = &str>| {
+            for (index, cell) in cells.enumerate() {
                 if index > 0 {
                     out.push(',');
                 }
@@ -128,9 +141,9 @@ impl Table {
             }
             out.push('\n');
         };
-        write_row(&mut out, &self.headers);
+        write_row(&mut out, &mut self.headers.iter().map(String::as_str));
         for row in &self.rows {
-            write_row(&mut out, row);
+            write_row(&mut out, &mut row.cells());
         }
         out
     }
@@ -144,7 +157,13 @@ impl Table {
     ///
     /// Panics if `index` is out of range.
     pub fn json_row(&self, index: usize, seq: usize) -> String {
-        render_json_row(seq, &self.title, &self.headers, &self.rows[index])
+        let mut out = String::new();
+        JsonRows::new(&self.title, &self.headers).render_into(
+            &mut out,
+            seq,
+            self.rows[index].cells(),
+        );
+        out
     }
 }
 
@@ -152,13 +171,56 @@ impl Table {
 /// [`Table::json_row`], usable from sweep closures before the cells have
 /// been appended to a [`Table`].
 pub fn render_json_row(seq: usize, title: &str, headers: &[String], cells: &[String]) -> String {
-    assert_eq!(cells.len(), headers.len(), "row arity mismatch");
-    let mut out = format!("{{\"seq\": {seq}, \"table\": {}", json_string(title));
-    for (header, cell) in headers.iter().zip(cells) {
-        out.push_str(&format!(", {}: {}", json_string(header), json_cell(cell)));
-    }
-    out.push('}');
+    let mut out = String::new();
+    JsonRows::new(title, headers).render_into(&mut out, seq, cells.iter().map(String::as_str));
     out
+}
+
+/// One table's JSON row prefixes, escaped once per table: the
+/// `, "table": <title>` field and one `, <header>: ` per column. Rows
+/// then render into a caller-owned buffer without allocating.
+#[derive(Debug)]
+pub(crate) struct JsonRows {
+    table: String,
+    columns: Vec<String>,
+}
+
+impl JsonRows {
+    pub(crate) fn new(title: &str, headers: &[String]) -> Self {
+        let mut table = String::from(", \"table\": ");
+        push_json_string(&mut table, title);
+        let columns = headers
+            .iter()
+            .map(|header| {
+                let mut prefix = String::from(", ");
+                push_json_string(&mut prefix, header);
+                prefix.push_str(": ");
+                prefix
+            })
+            .collect();
+        JsonRows { table, columns }
+    }
+
+    /// Appends row `seq`'s JSON line (no trailing newline) to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell count differs from the header count.
+    pub(crate) fn render_into<'c>(
+        &self,
+        out: &mut String,
+        seq: usize,
+        cells: impl ExactSizeIterator<Item = &'c str>,
+    ) {
+        assert_eq!(cells.len(), self.columns.len(), "row arity mismatch");
+        write!(out, "{{\"seq\": {seq}").expect("writing to a String cannot fail");
+        out.push_str(&self.table);
+        for (prefix, cell) in self.columns.iter().zip(cells) {
+            out.push_str(prefix);
+            push_json_cell(out, cell);
+        }
+        out.push('}');
+    }
 }
 
 /// Quotes one CSV field per RFC 4180: fields containing the delimiter, a
@@ -183,7 +245,20 @@ fn csv_field(cell: &str) -> String {
 /// Escapes a string as a JSON string literal.
 pub fn json_string(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
+    push_json_string(&mut out, text);
+    out
+}
+
+/// Appends `text` to `out` as a JSON string literal.
+fn push_json_string(out: &mut String, text: &str) {
     out.push('"');
+    // Every byte that needs escaping is ASCII, so a byte scan finds them;
+    // most cells have none and are copied whole.
+    if !text.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(text);
+        out.push('"');
+        return;
+    }
     for ch in text.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -191,27 +266,27 @@ pub fn json_string(text: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            // edn-lint: allow(cast-audit) -- char-to-u32 is lossless (chars are scalar values)
-            ch if (ch as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", ch as u32)),
+            ch if u32::from(ch) < 0x20 => {
+                write!(out, "\\u{:04x}", u32::from(ch)).expect("writing to a String cannot fail")
+            }
             ch => out.push(ch),
         }
     }
     out.push('"');
-    out
 }
 
-/// Renders a table cell as a JSON value: a plain decimal or exponent
-/// number when the cell is one, `null` when the cell is a non-finite
-/// float rendering (`NaN`/`inf`/`-inf`, as [`fmt_f`] produces for
-/// degenerate means — JSON has no spelling for them, and a string would
-/// flip the column's type mid-stream), otherwise a string.
-fn json_cell(cell: &str) -> String {
+/// Appends a table cell to `out` as a JSON value: a plain decimal or
+/// exponent number when the cell is one, `null` when the cell is a
+/// non-finite float rendering (`NaN`/`inf`/`-inf`, as [`fmt_f`] produces
+/// for degenerate means — JSON has no spelling for them, and a string
+/// would flip the column's type mid-stream), otherwise a string.
+fn push_json_cell(out: &mut String, cell: &str) {
     if is_json_number(cell) {
-        cell.to_string()
+        out.push_str(cell);
     } else if is_nonfinite(cell) {
-        "null".to_string()
+        out.push_str("null");
     } else {
-        json_string(cell)
+        push_json_string(out, cell);
     }
 }
 
@@ -223,29 +298,42 @@ fn is_nonfinite(cell: &str) -> bool {
 
 /// `true` if `cell` is already a valid JSON number literal
 /// (RFC 8259: optional minus, integer part without leading zeros,
-/// optional fraction, optional exponent).
+/// optional fraction, optional exponent). One forward pass over the
+/// bytes: every row of every artifact runs each cell through it.
 fn is_json_number(cell: &str) -> bool {
-    let body = cell.strip_prefix('-').unwrap_or(cell);
-    if body.is_empty() {
+    let bytes = cell.as_bytes();
+    let rest = bytes.strip_prefix(b"-").unwrap_or(bytes);
+    let integer = leading_digits(rest);
+    // JSON forbids leading zeros on multi-digit integer parts.
+    if integer == 0 || (integer > 1 && rest[0] == b'0') {
         return false;
     }
-    // Split off the exponent first: `1.5e-3` -> `1.5`, `-3`.
-    let (mantissa, exponent) = match body.split_once(['e', 'E']) {
-        Some((mantissa, exponent)) => (mantissa, Some(exponent)),
-        None => (body, None),
-    };
-    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
-    let mut parts = mantissa.splitn(2, '.');
-    let integer = parts.next().unwrap_or("");
-    let fraction = parts.next();
-    // JSON forbids leading zeros on multi-digit integer parts.
-    let integer_ok = digits(integer) && (integer.len() == 1 || !integer.starts_with('0'));
-    let exponent_ok = match exponent {
-        None => true,
+    let mut rest = &rest[integer..];
+    if let [b'.', fraction @ ..] = rest {
+        let digits = leading_digits(fraction);
+        if digits == 0 {
+            return false;
+        }
+        rest = &fraction[digits..];
+    }
+    if let [b'e' | b'E', exponent @ ..] = rest {
         // Exponents allow a sign and leading zeros (`1e+05` is valid).
-        Some(exp) => digits(exp.strip_prefix(['+', '-']).unwrap_or(exp)),
-    };
-    integer_ok && fraction.is_none_or(digits) && exponent_ok
+        let exponent = match exponent {
+            [b'+' | b'-', unsigned @ ..] => unsigned,
+            _ => exponent,
+        };
+        let digits = leading_digits(exponent);
+        if digits == 0 {
+            return false;
+        }
+        rest = &exponent[digits..];
+    }
+    rest.is_empty()
+}
+
+/// The length of the run of ASCII digits `bytes` starts with.
+fn leading_digits(bytes: &[u8]) -> usize {
+    bytes.iter().take_while(|b| b.is_ascii_digit()).count()
 }
 
 /// Formats a float with `digits` fractional digits.
@@ -362,6 +450,50 @@ mod tests {
         ] {
             assert!(!is_json_number(no), "{no}");
         }
+    }
+
+    /// RFC 8259's number grammar written the slow, obvious way: split
+    /// off sign, exponent and fraction, then check each part.
+    fn is_json_number_by_parts(cell: &str) -> bool {
+        let body = cell.strip_prefix('-').unwrap_or(cell);
+        let (mantissa, exponent) = match body.split_once(['e', 'E']) {
+            Some((mantissa, exponent)) => (mantissa, Some(exponent)),
+            None => (body, None),
+        };
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        let (integer, fraction) = match mantissa.split_once('.') {
+            Some((integer, fraction)) => (integer, Some(fraction)),
+            None => (mantissa, None),
+        };
+        let integer_ok = digits(integer) && (integer.len() == 1 || !integer.starts_with('0'));
+        let exponent_ok = exponent.is_none_or(|e| digits(e.strip_prefix(['+', '-']).unwrap_or(e)));
+        integer_ok && fraction.is_none_or(digits) && exponent_ok
+    }
+
+    #[test]
+    fn number_detection_matches_the_grammar_exhaustively() {
+        // Every string of up to five symbols over the grammar's alphabet
+        // (plus one outsider).
+        let alphabet = ['-', '+', '.', 'e', 'E', '0', '1', '9', 'x'];
+        let mut cells = vec![String::new()];
+        let mut frontier = cells.clone();
+        for _ in 0..5 {
+            frontier = frontier
+                .iter()
+                .flat_map(|cell| alphabet.iter().map(move |&ch| format!("{cell}{ch}")))
+                .collect();
+            cells.extend(frontier.iter().cloned());
+        }
+        let mut numbers = 0;
+        for cell in &cells {
+            assert_eq!(
+                is_json_number(cell),
+                is_json_number_by_parts(cell),
+                "{cell:?}"
+            );
+            numbers += usize::from(is_json_number(cell));
+        }
+        assert!(numbers > 100, "the sample holds numbers too");
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! * [`RowSink`] — the streaming writer: rows arrive in completion order
 //!   from the work-stealing pool, a small reorder buffer holds the
 //!   out-of-order tail, and every row is flushed to disk the moment the
-//!   in-order prefix extends. Each row line leads with a global `"seq"`
-//!   field, which is what makes gap/overlap detection and merging exact.
+//!   in-order prefix extends. Rows replayed from the row cache arrive as
+//!   contiguous blocks, flushed once per block. Each row line leads with
+//!   a global `"seq"` field, which is what makes gap/overlap detection
+//!   and merging exact.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -478,6 +480,13 @@ pub fn row_cache_key(
 /// flushed — an observer tailing the file sees measurements land as they
 /// complete, which is the whole point for day-long sweeps.
 ///
+/// Rows come in two grains. A freshly measured row arrives alone through
+/// [`push`](Self::push) and is flushed on its own, so a tail of the file
+/// is never more than one measurement behind. Rows replayed from the row
+/// cache are already known before any measurement starts; they arrive as
+/// contiguous blocks through `push_block` and each
+/// block is written and flushed once.
+///
 /// The sink accepts rows for one *expected range* at a time
 /// ([`begin_range`](Self::begin_range)); tables are emitted sequentially,
 /// so each table's shard slice is its own range. [`finish`](Self::finish)
@@ -490,9 +499,17 @@ pub struct RowSink {
     next: usize,
     /// One past the last sequence number of the current range.
     end: usize,
-    /// Out-of-order rows keyed by sequence number.
-    pending: BTreeMap<usize, String>,
+    /// Out-of-order blocks keyed by their first sequence number.
+    pending: BTreeMap<usize, Pending>,
     written: usize,
+}
+
+/// A block of consecutive rows held until the frontier reaches it.
+#[derive(Debug)]
+struct Pending {
+    rows: usize,
+    /// The rows' lines, each newline-terminated.
+    text: String,
 }
 
 impl RowSink {
@@ -550,44 +567,97 @@ impl RowSink {
         self.end = range.end;
     }
 
-    /// Accepts the row with global sequence number `seq`, writing and
-    /// flushing every row the in-order frontier now covers.
+    /// Accepts the row with global sequence number `seq` (one JSON line,
+    /// no trailing newline), writing and flushing every row the in-order
+    /// frontier now covers.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; rejects sequence numbers outside the
     /// current range or already seen (both are caller bugs surfaced as
     /// `InvalidInput` rather than silent corruption).
-    pub fn push(&mut self, seq: usize, row: String) -> std::io::Result<()> {
-        if seq < self.next || seq >= self.end {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "row seq {seq} outside the open range {}..{} of {}",
-                    self.next,
-                    self.end,
-                    self.path.display()
-                ),
-            ));
-        }
+    pub fn push(&mut self, seq: usize, mut row: String) -> std::io::Result<()> {
+        self.check_open(seq, 1)?;
+        row.push('\n');
         if seq > self.next {
-            if self.pending.insert(seq, row).is_some() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("row seq {seq} pushed twice to {}", self.path.display()),
-                ));
-            }
+            self.pending.insert(seq, Pending { rows: 1, text: row });
             return Ok(());
         }
-        // Frontier advance: write this row and every now-contiguous
-        // buffered successor, then flush once so the file is current.
-        writeln!(self.writer, "{row}")?;
-        self.next += 1;
-        self.written += 1;
-        while let Some(row) = self.pending.remove(&self.next) {
-            writeln!(self.writer, "{row}")?;
-            self.next += 1;
-            self.written += 1;
+        self.advance(&row, 1)
+    }
+
+    /// Accepts `rows` consecutive rows starting at sequence number `seq`,
+    /// rendered into `text` as newline-terminated lines. A block at the
+    /// frontier is written with every now-contiguous successor and
+    /// flushed once; a block ahead of it is copied into the reorder
+    /// buffer. An empty block is a no-op.
+    ///
+    /// # Errors
+    ///
+    /// As [`push`](Self::push), for any row of the block.
+    pub(crate) fn push_block(
+        &mut self,
+        seq: usize,
+        rows: usize,
+        text: &str,
+    ) -> std::io::Result<()> {
+        if rows == 0 {
+            return Ok(());
+        }
+        debug_assert_eq!(text.bytes().filter(|&b| b == b'\n').count(), rows);
+        debug_assert!(text.ends_with('\n'));
+        self.check_open(seq, rows)?;
+        if seq > self.next {
+            let text = text.to_owned();
+            self.pending.insert(seq, Pending { rows, text });
+            return Ok(());
+        }
+        self.advance(text, rows)
+    }
+
+    /// Rejects rows `seq..seq + rows` unless they lie in the open range
+    /// and overlap no row already accepted.
+    fn check_open(&self, seq: usize, rows: usize) -> std::io::Result<()> {
+        let invalid = |message: String| {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                message,
+            ))
+        };
+        if seq < self.next || seq.saturating_add(rows) > self.end {
+            return invalid(format!(
+                "row seqs {seq}..{} outside the open range {}..{} of {}",
+                seq.saturating_add(rows),
+                self.next,
+                self.end,
+                self.path.display()
+            ));
+        }
+        // Held blocks never overlap each other, so only the last one
+        // starting before this block's end can overlap it.
+        if let Some((&start, held)) = self.pending.range(..seq + rows).next_back() {
+            if start + held.rows > seq {
+                return invalid(format!(
+                    "row seq {} pushed twice to {}",
+                    start.max(seq),
+                    self.path.display()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Frontier advance: writes `text` (the `rows` rows at the frontier)
+    /// and every now-contiguous held block, then flushes once so the file
+    /// is current.
+    fn advance(&mut self, text: &str, rows: usize) -> std::io::Result<()> {
+        self.writer.write_all(text.as_bytes())?;
+        self.next += rows;
+        self.written += rows;
+        while let Some(held) = self.pending.remove(&self.next) {
+            self.writer.write_all(held.text.as_bytes())?;
+            self.next += held.rows;
+            self.written += held.rows;
         }
         self.writer.flush()
     }
@@ -608,7 +678,7 @@ impl RowSink {
                     self.path.display(),
                     self.next,
                     self.end,
-                    self.pending.len()
+                    self.pending.values().map(|held| held.rows).sum::<usize>()
                 ),
             ));
         }
@@ -799,6 +869,58 @@ mod tests {
         // Written duplicate (seq < next) also rejected.
         assert!(sink.push(1, "r1 again".to_string()).is_err());
         assert_eq!(sink.finish().unwrap(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sink_blocks_interleave_with_single_rows() {
+        let path = temp_path("blocks");
+        let mut sink = RowSink::create(&path, &header(6, Shard::FULL)).unwrap();
+        sink.begin_range(0..6);
+        // A replayed block behind an unmeasured row is held...
+        sink.push_block(3, 2, "r3\nr4\n").unwrap();
+        sink.push_block(5, 0, "").unwrap();
+        assert_eq!(sink.written(), 0);
+        // ...a block at the frontier is written at once...
+        sink.push_block(0, 2, "r0\nr1\n").unwrap();
+        assert_eq!(sink.written(), 2);
+        // ...and the fresh row between them releases the held block.
+        sink.push(2, "r2".to_string()).unwrap();
+        assert_eq!(sink.written(), 5);
+        sink.push(5, "r5".to_string()).unwrap();
+        assert_eq!(sink.finish().unwrap(), 6);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        assert_eq!(lines, vec!["r0", "r1", "r2", "r3", "r4", "r5"]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sink_rejects_overlapping_blocks() {
+        let path = temp_path("overlaps");
+        let mut sink = RowSink::create(&path, &header(8, Shard::FULL)).unwrap();
+        sink.begin_range(0..8);
+        sink.push_block(2, 3, "r2\nr3\nr4\n").unwrap();
+        assert!(
+            sink.push(3, "r3 again".to_string()).is_err(),
+            "inside a held block"
+        );
+        assert!(
+            sink.push_block(1, 2, "r1\nr2\n").is_err(),
+            "overlaps its start"
+        );
+        assert!(
+            sink.push_block(4, 2, "r4\nr5\n").is_err(),
+            "overlaps its end"
+        );
+        assert!(
+            sink.push_block(6, 3, "r6\nr7\nr8\n").is_err(),
+            "past the range"
+        );
+        sink.push_block(0, 2, "r0\nr1\n").unwrap();
+        assert!(sink.push_block(0, 1, "r0\n").is_err(), "already written");
+        sink.push_block(5, 3, "r5\nr6\nr7\n").unwrap();
+        assert_eq!(sink.finish().unwrap(), 8);
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,8 +18,8 @@
 
 use edn_bench::{fmt_f, SweepArgs, SweepWorker};
 use edn_core::{
-    route_one_with_faults, EdnParams, EdnTopology, FaultRouting, FaultSet, PriorityArbiter,
-    RouteRequest, RoutingEngine,
+    route_one_with_faults, EdnParams, EdnTopology, FaultRouting, FaultSet, NullProbe,
+    PriorityArbiter, RouteRequest, RoutingEngine,
 };
 use edn_sweep::Table;
 
@@ -54,7 +54,12 @@ fn degraded_pa(
             (0..params.inputs())
                 .map(|s| RouteRequest::new(s, (s * 131 + cycle * 7919 + 23) % params.outputs())),
         );
-        let outcome = engine.route_faulty(requests, faults, &mut PriorityArbiter::new());
+        let outcome = engine.route_with(
+            requests,
+            Some(faults),
+            &mut PriorityArbiter::new(),
+            &mut NullProbe,
+        );
         offered += outcome.offered() as u64;
         delivered += outcome.delivered_count() as u64;
     }

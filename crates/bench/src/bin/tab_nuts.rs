@@ -140,8 +140,9 @@ fn measure_traced(
         }
         let arbiter_seed = seed ^ (cycle as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(arbiter_seed));
-        let outcome = engine.route_probed(
+        let outcome = engine.route_with(
             &full,
+            None,
             &mut arbiter,
             &mut (&mut stage_probe, &mut trace_probe),
         );

@@ -59,7 +59,7 @@ fn probe_run(
                 requests.push(RouteRequest::new(source, (h >> 10) % params.outputs()));
             }
         }
-        engine.route_probed(requests, &mut PriorityArbiter::new(), probe);
+        engine.route_with(requests, None, &mut PriorityArbiter::new(), probe);
     }
 }
 

@@ -5,10 +5,15 @@
 //! estimation of `PA(r)` (Eq. 4), MIMD resubmission runs (Section 4), and
 //! RA-EDN permutation scheduling (Section 5) all hammer the same per-cycle
 //! hot path. [`RoutingEngine`] is built once: it owns the wired
-//! [`EdnTopology`] *and* all per-cycle scratch state, so
-//! [`RoutingEngine::route`] performs **zero heap allocations in steady
-//! state** (after the first few cycles have grown the per-switch buffers
-//! to their high-water marks). The arbiter parameter is generic
+//! [`EdnTopology`] *and* all per-cycle scratch state, so routing performs
+//! **zero heap allocations in steady state** (after the first few cycles
+//! have grown the per-switch buffers to their high-water marks).
+//!
+//! There is one entry point per operation: [`RoutingEngine::route`]
+//! routes a healthy cycle, [`RoutingEngine::route_with`] adds an optional
+//! [`FaultSet`] and a [`Probe`], and [`RoutingEngine::route_reordered`]
+//! routes under a Corollary 2 retirement order. All three, and every
+//! session, run through the one traversal below. The arbiter parameter is generic
 //! (`A: Arbiter + ?Sized`), so callers holding a concrete policy get fully
 //! monomorphized dispatch; the simulators in `edn-sim` pass a
 //! runtime-selected `&mut dyn Arbiter` through the same API.
@@ -40,7 +45,7 @@
 //!
 //! The engine is the oracle-checked replacement, not a fork: property
 //! tests assert its outcomes are bit-identical to the pre-engine
-//! implementations preserved in [`crate::reference`].
+//! implementation preserved in [`crate::reference`].
 //!
 //! # Examples
 //!
@@ -324,7 +329,6 @@ impl Scratch {
         probe: &mut P,
     ) {
         if P::ENABLED {
-            probe.wire_granted(shape.stage, exit);
             if shape.crossbar {
                 probe.event_deliver(u64::from(source), u64::from(tag), exit);
             } else {
@@ -427,7 +431,6 @@ impl Scratch {
             }
             None => {
                 if P::ENABLED {
-                    probe.request_lost(stage);
                     let bucket = shape.bucket(tag) as usize;
                     // Attribute the bucket's fault-induced drop quota to
                     // its first losers in port order; the rest lost to
@@ -619,8 +622,8 @@ impl RoutingEngine {
         &self.outcome
     }
 
-    /// Routes one batch through the healthy fabric — the zero-allocation
-    /// equivalent of [`crate::route_batch`].
+    /// Routes one batch through the healthy fabric:
+    /// `route_with(requests, None, arbiter, &mut NullProbe)`.
     ///
     /// # Panics
     ///
@@ -629,7 +632,7 @@ impl RoutingEngine {
     /// are programming errors in workload construction, not runtime
     /// conditions; the duplicate check is one bit test on the input
     /// boundary's occupancy bitmap instead of the `HashSet` insert the
-    /// legacy path paid.
+    /// reference pays.
     pub fn route<A: Arbiter + ?Sized>(
         &mut self,
         requests: &[RouteRequest],
@@ -639,70 +642,60 @@ impl RoutingEngine {
         &self.outcome
     }
 
-    /// As [`RoutingEngine::route`], with a [`Probe`] observing the pass.
+    /// Routes one batch, through a fabric with broken wires when `faults`
+    /// is given, with a [`Probe`] observing the pass.
     ///
-    /// The probe is a monomorphized parameter: with [`NullProbe`] this is
-    /// exactly [`RoutingEngine::route`]; with a counting probe the
-    /// outcome is bit-identical and only the probe's counters differ
-    /// (property-asserted by the `probe_identity` suite).
-    pub fn route_probed<A: Arbiter + ?Sized, P: Probe>(
-        &mut self,
-        requests: &[RouteRequest],
-        arbiter: &mut A,
-        probe: &mut P,
-    ) -> &BatchOutcomeView {
-        self.route_inner(requests, NoFaults, arbiter, probe);
-        &self.outcome
-    }
-
-    /// Routes one batch through a fabric with broken wires — the
-    /// zero-allocation equivalent of [`crate::route_batch_faulty`]. The
-    /// final crossbar stage is assumed healthy (its wires are the network
-    /// outputs).
+    /// Each hyperbar's bucket capacity shrinks to its healthy-wire count;
+    /// the final crossbar stage is assumed healthy (its wires are the
+    /// network outputs), and the probe sees fault-induced drops apart
+    /// from contention. The healthy and faulty paths are separate
+    /// monomorphizations, so `None` pays no per-wire fault lookup. The
+    /// probe is a monomorphized parameter too: with [`NullProbe`] the
+    /// healthy call is exactly [`RoutingEngine::route`]; with a counting
+    /// probe the outcome is bit-identical and only the probe's counters
+    /// differ (property-asserted by the `probe_identity` suite).
     ///
     /// # Panics
     ///
     /// As [`RoutingEngine::route`]; additionally panics if `faults` was
     /// built for different parameters.
-    pub fn route_faulty<A: Arbiter + ?Sized>(
+    pub fn route_with<A: Arbiter + ?Sized, P: Probe>(
         &mut self,
         requests: &[RouteRequest],
-        faults: &FaultSet,
-        arbiter: &mut A,
-    ) -> &BatchOutcomeView {
-        self.route_faulty_probed(requests, faults, arbiter, &mut NullProbe)
-    }
-
-    /// As [`RoutingEngine::route_faulty`], with a [`Probe`] observing the
-    /// pass (fault-induced drops are distinguished from contention).
-    pub fn route_faulty_probed<A: Arbiter + ?Sized, P: Probe>(
-        &mut self,
-        requests: &[RouteRequest],
-        faults: &FaultSet,
+        faults: Option<&FaultSet>,
         arbiter: &mut A,
         probe: &mut P,
     ) -> &BatchOutcomeView {
-        assert_eq!(
-            faults.params(),
-            self.topology.params(),
-            "fault set was built for {} but the fabric is {}",
-            faults.params(),
-            self.topology.params()
-        );
-        self.route_inner(requests, faults, arbiter, probe);
+        match faults {
+            None => self.route_inner(requests, NoFaults, arbiter, probe),
+            Some(faults) => {
+                assert_eq!(
+                    faults.params(),
+                    self.topology.params(),
+                    "fault set was built for {} but the fabric is {}",
+                    faults.params(),
+                    self.topology.params()
+                );
+                self.route_inner(requests, faults, arbiter, probe);
+            }
+        }
         &self.outcome
     }
 
     /// Routes a batch whose *desired* outputs are reordered through
     /// `order` before entering the network, then compensated with
-    /// `order.inverse()` at the outputs (Corollary 2 / Figure 6) — the
-    /// engine-resident equivalent of [`crate::route_batch_reordered`].
+    /// `order.inverse()` at the outputs (Corollary 2 / Figure 6).
+    ///
+    /// Each request's `tag` here is the *desired output*: the engine
+    /// presents `order.apply(tag)` to the network and maps every delivered
+    /// physical output back through `order.inverse()`, so delivered pairs
+    /// again read `(source, desired_output)`.
     ///
     /// The request buffer is reused and the inverse of `order` is cached
     /// keyed on the order itself, so the first call for a given order
     /// allocates (clone + inverse) and every further call with that order
     /// joins the zero-allocation steady state of
-    /// [`RoutingEngine::route`] and [`RoutingEngine::route_faulty`].
+    /// [`RoutingEngine::route`] and [`RoutingEngine::route_with`].
     ///
     /// # Panics
     ///
@@ -792,7 +785,6 @@ impl RoutingEngine {
         }
         let p = *self.topology.params();
         if P::ENABLED {
-            probe.cycle_start(requests.len());
             for request in requests {
                 probe.event_inject(request.source, request.tag);
             }
@@ -906,7 +898,7 @@ impl RoutingEngine {
 mod tests {
     use super::*;
     use crate::hyperbar::{PriorityArbiter, RandomArbiter, RoundRobinArbiter};
-    use crate::routing::route_batch;
+    use crate::reference::{route_batch, route_batch_with};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -989,36 +981,57 @@ mod tests {
     }
 
     #[test]
-    fn fault_mask_matches_route_batch_faulty() {
+    fn fault_mask_matches_reference() {
         let mut eng = engine(16, 4, 4, 2);
         let p = *eng.params();
         for seed in 0..6 {
             let faults = FaultSet::random(&p, 0.2, seed);
             let batch = uniform_batch(&p, seed + 100, 0.9);
-            let legacy = crate::faults::route_batch_faulty(
+            let legacy = route_batch_with(
                 eng.topology(),
                 &batch,
-                &faults,
+                Some(&faults),
                 &mut PriorityArbiter::new(),
             );
-            let view = eng.route_faulty(&batch, &faults, &mut PriorityArbiter::new());
+            let view = eng.route_with(
+                &batch,
+                Some(&faults),
+                &mut PriorityArbiter::new(),
+                &mut NullProbe,
+            );
             assert_eq!(view.to_outcome(), legacy, "seed {seed}");
         }
     }
 
+    /// The reference outcome of routing `requests` (tags = desired
+    /// outputs) with their tags reordered through `order`, delivered
+    /// outputs mapped back through `order.inverse()`.
+    fn compensated_reference(
+        topology: &EdnTopology,
+        requests: &[RouteRequest],
+        order: &RetirementOrder,
+    ) -> BatchOutcome {
+        let reordered: Vec<RouteRequest> = requests
+            .iter()
+            .map(|r| RouteRequest::new(r.source, order.apply(r.tag)))
+            .collect();
+        let mut outcome =
+            route_batch(topology, &reordered, &mut PriorityArbiter::new()).into_view();
+        let inverse = order.inverse();
+        for (_, output) in &mut outcome.delivered {
+            *output = inverse.apply(*output);
+        }
+        outcome.to_outcome()
+    }
+
     #[test]
-    fn reordered_matches_route_batch_reordered() {
+    fn reordered_matches_compensated_reference() {
         let mut eng = engine(64, 16, 4, 2);
         let p = *eng.params();
         let order = RetirementOrder::rotate_left(p.output_bits(), p.log2_b()).unwrap();
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
-        let legacy = crate::routing::route_batch_reordered(
-            eng.topology(),
-            &requests,
-            &order,
-            &mut PriorityArbiter::new(),
-        );
+        let legacy = compensated_reference(eng.topology(), &requests, &order);
         let view = eng.route_reordered(&requests, &order, &mut PriorityArbiter::new());
         assert_eq!(view.to_outcome(), legacy);
         assert_eq!(view.delivered_count(), p.inputs() as usize);
@@ -1036,12 +1049,7 @@ mod tests {
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
         for _ in 0..3 {
             for order in [&rot, &ident] {
-                let legacy = crate::routing::route_batch_reordered(
-                    eng.topology(),
-                    &requests,
-                    order,
-                    &mut PriorityArbiter::new(),
-                );
+                let legacy = compensated_reference(eng.topology(), &requests, order);
                 let view = eng.route_reordered(&requests, order, &mut PriorityArbiter::new());
                 assert_eq!(view.to_outcome(), legacy);
             }
@@ -1145,6 +1153,11 @@ mod tests {
         let mut engine = engine(16, 4, 4, 2);
         let other = EdnParams::new(8, 4, 2, 3).unwrap();
         let faults = FaultSet::none(&other);
-        engine.route_faulty(&[], &faults, &mut PriorityArbiter::new());
+        engine.route_with(
+            &[],
+            Some(&faults),
+            &mut PriorityArbiter::new(),
+            &mut NullProbe,
+        );
     }
 }

@@ -8,15 +8,12 @@
 //! is severed by the first fault on its unique path.
 //!
 //! [`FaultSet`] records broken output wires of hyperbar stages;
-//! [`route_batch_faulty`] routes a batch through the degraded fabric, and
-//! [`EdnTopology::trace_path_with_faults`](crate::topology) (via
-//! [`route_one_with_faults`]) answers point-to-point connectivity.
+//! [`RoutingEngine::route_with`](crate::RoutingEngine::route_with) routes
+//! a batch through the degraded fabric, and [`route_one_with_faults`]
+//! answers point-to-point connectivity.
 
-use crate::engine::RoutingEngine;
 use crate::error::EdnError;
-use crate::hyperbar::Arbiter;
 use crate::params::EdnParams;
-use crate::routing::{BatchOutcome, RouteRequest};
 use crate::topology::{EdnTopology, PathTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,36 +224,13 @@ pub fn route_one_with_faults(
     Ok(FaultRouting::Delivered(trace))
 }
 
-/// Routes one circuit-switched cycle through a fabric with broken wires.
-///
-/// Identical to [`crate::route_batch`] except that each hyperbar's bucket
-/// capacity shrinks to its healthy-wire count. The final crossbar stage is
-/// assumed healthy (its wires are the network outputs).
-///
-/// This is a compatibility wrapper over
-/// [`RoutingEngine::route_faulty`], which consults the fault mask inline
-/// instead of materializing per-switch disabled-wire lists; hold a reused
-/// engine when routing more than one cycle.
-///
-/// # Panics
-///
-/// As [`crate::route_batch`]; additionally panics if `faults` was built
-/// for different parameters.
-pub fn route_batch_faulty(
-    topology: &EdnTopology,
-    requests: &[RouteRequest],
-    faults: &FaultSet,
-    arbiter: &mut dyn Arbiter,
-) -> BatchOutcome {
-    let mut engine = RoutingEngine::new(topology.clone());
-    engine.route_faulty(requests, faults, arbiter).to_outcome()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RoutingEngine;
     use crate::hyperbar::PriorityArbiter;
-    use crate::routing::route_batch;
+    use crate::routing::RouteRequest;
+    use crate::telemetry::NullProbe;
 
     fn topo(a: u64, b: u64, c: u64, l: u32) -> EdnTopology {
         EdnTopology::new(EdnParams::new(a, b, c, l).unwrap())
@@ -264,15 +238,22 @@ mod tests {
 
     #[test]
     fn no_faults_matches_plain_routing() {
-        let t = topo(16, 4, 4, 2);
-        let p = *t.params();
+        let mut engine = RoutingEngine::new(topo(16, 4, 4, 2));
+        let p = *engine.params();
         let faults = FaultSet::none(&p);
         let requests: Vec<RouteRequest> = (0..p.inputs())
             .map(|s| RouteRequest::new(s, (s * 13 + 7) % p.outputs()))
             .collect();
-        let plain = route_batch(&t, &requests, &mut PriorityArbiter::new());
-        let faulty = route_batch_faulty(&t, &requests, &faults, &mut PriorityArbiter::new());
-        assert_eq!(plain, faulty);
+        let plain = engine
+            .route(&requests, &mut PriorityArbiter::new())
+            .to_outcome();
+        let faulty = engine.route_with(
+            &requests,
+            Some(&faults),
+            &mut PriorityArbiter::new(),
+            &mut NullProbe,
+        );
+        assert_eq!(faulty.to_outcome(), plain);
     }
 
     #[test]
@@ -319,13 +300,21 @@ mod tests {
 
     #[test]
     fn batch_routing_avoids_broken_wires() {
-        let t = topo(16, 4, 4, 2);
-        let p = *t.params();
+        let mut engine = RoutingEngine::new(topo(16, 4, 4, 2));
+        let p = *engine.params();
         let faults = FaultSet::random(&p, 0.3, 99);
         let requests: Vec<RouteRequest> = (0..p.inputs())
             .map(|s| RouteRequest::new(s, (s * 29 + 3) % p.outputs()))
             .collect();
-        let outcome = route_batch_faulty(&t, &requests, &faults, &mut PriorityArbiter::new());
+        let plain = engine
+            .route(&requests, &mut PriorityArbiter::new())
+            .delivered_count();
+        let outcome = engine.route_with(
+            &requests,
+            Some(&faults),
+            &mut PriorityArbiter::new(),
+            &mut NullProbe,
+        );
         // Conservation and correct delivery still hold.
         assert_eq!(
             outcome.delivered_count() + outcome.blocked().len(),
@@ -335,8 +324,7 @@ mod tests {
             assert_eq!(output, (source * 29 + 3) % p.outputs());
         }
         // Faults strictly reduce capacity versus the healthy fabric.
-        let plain = route_batch(&t, &requests, &mut PriorityArbiter::new());
-        assert!(outcome.delivered_count() <= plain.delivered_count());
+        assert!(outcome.delivered_count() <= plain);
     }
 
     #[test]

@@ -19,18 +19,18 @@
 //! Route a full permutation through the MasPar-shaped `EDN(64, 16, 4, 2)`:
 //!
 //! ```
-//! use edn_core::{EdnParams, EdnTopology, RouteRequest, route_batch, PriorityArbiter};
+//! use edn_core::{EdnParams, PriorityArbiter, RouteRequest, RoutingEngine};
 //!
 //! # fn main() -> Result<(), edn_core::EdnError> {
 //! let params = EdnParams::new(64, 16, 4, 2)?;
-//! let topo = EdnTopology::new(params);
+//! let mut engine = RoutingEngine::from_params(params);
 //! // Send every input to the bit-reversed output.
 //! let n = params.inputs();
 //! let bits = params.output_bits();
 //! let requests: Vec<RouteRequest> = (0..n)
 //!     .map(|s| RouteRequest::new(s, s.reverse_bits() >> (64 - bits)))
 //!     .collect();
-//! let outcome = route_batch(&topo, &requests, &mut PriorityArbiter::new());
+//! let outcome = engine.route(&requests, &mut PriorityArbiter::new());
 //! assert!(outcome.delivered_count() > 0);
 //! for (source, output) in outcome.delivered() {
 //!     assert_eq!(*output, source.reverse_bits() >> (64 - bits));
@@ -48,10 +48,12 @@
 //! * [`hyperbar`] — the `H(a -> b x c)` switch and arbitration policies.
 //! * [`topology`] — stage/wire maps, Lemma-1 line tracing, Theorem-2 path
 //!   enumeration.
-//! * [`routing`] — one-pass circuit-switched routing of request batches
-//!   through the wired fabric (compatibility wrappers over the engine).
+//! * [`routing`] — the vocabulary of one circuit-switched cycle:
+//!   requests, outcomes, block reasons.
 //! * [`engine`] — [`RoutingEngine`]: the build-once, zero-allocation
-//!   routing core every simulator runs on.
+//!   routing core every simulator runs on. Three entry points:
+//!   [`RoutingEngine::route`], [`RoutingEngine::route_with`] (faults and
+//!   probes) and [`RoutingEngine::route_reordered`] (Corollary 2).
 //! * [`session`] — [`RouteSession`]: resident multi-cycle stepping
 //!   (resubmission, cluster schedules, caller-supplied drivers) so whole
 //!   runs are one engine call instead of one per cycle.
@@ -65,8 +67,9 @@
 //!   struct-of-arrays form of the interstage permutations; compiled and
 //!   deeply validated once, borrowed by every engine, and serialized by
 //!   the `edn_fabric` on-disk database.
-//! * [`reference`](mod@reference) — the pre-engine implementations, kept
-//!   as the differential-testing oracle and benchmark baseline.
+//! * [`reference`](mod@reference) — the pre-engine implementation, kept
+//!   as the differential-testing oracle, and the caller-driven
+//!   multi-cycle loop over it.
 //! * [`cost`] — crosspoint and wire cost, Eqs. (2)–(3).
 
 #![warn(missing_docs)]
@@ -92,13 +95,13 @@ pub use address::{DestTag, RetirementOrder, SourceAddress};
 pub use cost::{crosspoint_cost, crosspoint_cost_closed_form, wire_cost, wire_cost_closed_form};
 pub use engine::{BatchOutcomeView, RoutingEngine};
 pub use error::EdnError;
-pub use faults::{route_batch_faulty, route_one_with_faults, FaultRouting, FaultSet};
+pub use faults::{route_one_with_faults, FaultRouting, FaultSet};
 pub use gamma::Gamma;
 pub use hyperbar::{
     Arbiter, Hyperbar, HyperbarOutcome, PriorityArbiter, RandomArbiter, RoundRobinArbiter,
 };
 pub use params::{EdnParams, NetworkClass};
-pub use routing::{route_batch, route_batch_reordered, BatchOutcome, BlockReason, RouteRequest};
+pub use routing::{BatchOutcome, BlockReason, RouteRequest};
 pub use session::{ClusterSchedule, CycleDriver, Resubmit, RouteSession, SessionState};
 pub use telemetry::{NullProbe, Probe, RunMetrics, StageMetrics, StageProbe};
 pub use topology::{EdnTopology, PathTrace};

@@ -4,27 +4,23 @@
 //! network with no internal buffering: at the start of a cycle every source
 //! presents a destination tag, the tags flow stage by stage, and a request
 //! that loses bucket arbitration anywhere is dropped for the rest of the
-//! cycle. [`route_batch`] implements exactly that cycle; higher-level
-//! system behaviour (resubmission, clustering, multi-pass permutations)
-//! lives in the `edn-sim` crate.
-//!
-//! The free functions here are thin compatibility wrappers that build a
-//! fresh [`RoutingEngine`] per call. Code that routes more than one cycle
-//! should hold an engine instead — it reuses every buffer and performs
-//! zero steady-state allocations. The
-//! original allocating implementations live on in [`crate::reference`] as
-//! the differential-testing oracle.
+//! cycle. This module holds its vocabulary: the [`RouteRequest`] a source
+//! presents and the [`BatchOutcome`] of a cycle. The cycle itself is
+//! [`RoutingEngine::route`](crate::RoutingEngine::route) (and
+//! [`RoutingEngine::route_with`](crate::RoutingEngine::route_with) for
+//! probes and faults), which reuses every buffer across cycles; the
+//! original allocating implementation lives on in [`crate::reference`]
+//! as the differential-testing oracle. Higher-level system behaviour
+//! (resubmission, clustering, multi-pass permutations) lives in the
+//! `edn-sim` crate.
 
-use crate::address::RetirementOrder;
-use crate::engine::RoutingEngine;
-use crate::hyperbar::Arbiter;
-use crate::topology::EdnTopology;
+use crate::engine::BatchOutcomeView;
 
 /// One routing request: a source input index and a destination tag.
 ///
-/// For an unmodified network the tag *is* the desired output index; with a
-/// [`RetirementOrder`] (Corollary 2) the tag is the reordered image of the
-/// desired output.
+/// For an unmodified network the tag *is* the desired output index; with
+/// a [`RetirementOrder`](crate::RetirementOrder) (Corollary 2) the tag is
+/// the reordered image of the desired output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteRequest {
     /// Network input carrying the request.
@@ -49,9 +45,10 @@ pub enum BlockReason {
     CrossbarOutput,
 }
 
-/// The result of routing one batch (one network cycle).
+/// The result of routing one batch (one network cycle), owned.
 ///
-/// Produced by [`route_batch`].
+/// Produced by [`crate::reference::route_batch`] and by
+/// [`BatchOutcomeView::to_outcome`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutcome {
     delivered: Vec<(u64, u64)>,
@@ -63,8 +60,7 @@ pub struct BatchOutcome {
 }
 
 impl BatchOutcome {
-    /// Assembles an outcome from its parts (used by the sibling fault-aware
-    /// router in [`crate::faults`]).
+    /// Assembles an outcome from its parts.
     pub(crate) fn from_parts(
         delivered: Vec<(u64, u64)>,
         blocked: Vec<(u64, BlockReason)>,
@@ -113,82 +109,40 @@ impl BatchOutcome {
     pub fn survivors(&self) -> &[usize] {
         &self.survivors
     }
-}
 
-/// Routes one batch of requests through the network in a single
-/// circuit-switched cycle.
-///
-/// Stage by stage, each hyperbar arbitrates its bucket contention with
-/// `arbiter`; losers are dropped. At the crossbar stage, output-port
-/// contention is resolved the same way (capacity 1). Delivered messages
-/// always arrive exactly at their tag (Theorem 1).
-///
-/// This is a compatibility wrapper that builds a fresh
-/// [`RoutingEngine`] per call; hold a reused engine when routing more
-/// than one cycle.
-///
-/// # Panics
-///
-/// Panics if two requests share a source (an input wire carries one
-/// request per cycle), or if any source or tag is out of range. These are
-/// programming errors in workload construction, not runtime conditions.
-/// The duplicate check is the engine's epoch-stamped boolean buffer, not
-/// the `HashSet` of the original implementation; the panic message and
-/// semantics are unchanged.
-pub fn route_batch(
-    topology: &EdnTopology,
-    requests: &[RouteRequest],
-    arbiter: &mut dyn Arbiter,
-) -> BatchOutcome {
-    let mut engine = RoutingEngine::new(topology.clone());
-    engine.route(requests, arbiter).to_outcome()
-}
-
-/// Routes a batch whose *desired* outputs are reordered through `order`
-/// before entering the network, then compensated with `order.inverse()` at
-/// the outputs (Corollary 2 / Figure 6 of the paper).
-///
-/// Each request's `tag` field here is the *desired output*; the function
-/// presents `order.apply(tag)` to the network and maps every delivered
-/// physical output `w` back through `order.inverse()`, so delivered pairs
-/// again read `(source, desired_output)`.
-///
-/// # Panics
-///
-/// As [`route_batch`]; additionally panics if `order.bits()` differs from
-/// the network's output label width.
-pub fn route_batch_reordered(
-    topology: &EdnTopology,
-    requests: &[RouteRequest],
-    order: &RetirementOrder,
-    arbiter: &mut dyn Arbiter,
-) -> BatchOutcome {
-    let mut engine = RoutingEngine::new(topology.clone());
-    engine
-        .route_reordered(requests, order, arbiter)
-        .to_outcome()
+    /// Moves this outcome into the view type a
+    /// [`CycleDriver`](crate::CycleDriver) absorbs.
+    pub(crate) fn into_view(self) -> BatchOutcomeView {
+        BatchOutcomeView {
+            delivered: self.delivered,
+            blocked: self.blocked,
+            offered: self.offered,
+            survivors: self.survivors,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::RetirementOrder;
+    use crate::engine::RoutingEngine;
     use crate::hyperbar::{PriorityArbiter, RandomArbiter};
     use crate::params::EdnParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn topo(a: u64, b: u64, c: u64, l: u32) -> EdnTopology {
-        EdnTopology::new(EdnParams::new(a, b, c, l).unwrap())
+    fn engine(a: u64, b: u64, c: u64, l: u32) -> RoutingEngine {
+        RoutingEngine::from_params(EdnParams::new(a, b, c, l).unwrap())
     }
 
     #[test]
     fn single_request_always_delivered() {
-        let t = topo(16, 4, 4, 2);
+        let mut t = engine(16, 4, 4, 2);
         let p = *t.params();
         for source in [0u64, 13, 63] {
             for tag in [0u64, 31, 63] {
-                let outcome = route_batch(
-                    &t,
+                let outcome = t.route(
                     &[RouteRequest::new(source, tag)],
                     &mut PriorityArbiter::new(),
                 );
@@ -202,13 +156,13 @@ mod tests {
 
     #[test]
     fn delivered_messages_arrive_at_their_tags() {
-        let t = topo(8, 4, 2, 3); // 64 inputs, 128 outputs
+        let mut t = engine(8, 4, 2, 3); // 64 inputs, 128 outputs
         let p = *t.params();
         let requests: Vec<RouteRequest> = (0..p.inputs())
             .map(|s| RouteRequest::new(s, (s * 37 + 5) % p.outputs()))
             .collect();
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(3));
-        let outcome = route_batch(&t, &requests, &mut arbiter);
+        let outcome = t.route(&requests, &mut arbiter);
         for &(source, output) in outcome.delivered() {
             assert_eq!(output, (source * 37 + 5) % p.outputs());
         }
@@ -221,24 +175,24 @@ mod tests {
 
     #[test]
     fn no_two_delivered_requests_share_an_output() {
-        let t = topo(16, 4, 4, 2);
+        let mut t = engine(16, 4, 4, 2);
         let p = *t.params();
         // Everyone wants output 5: exactly one can have it.
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, 5)).collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         assert_eq!(outcome.delivered_count(), 1);
         assert_eq!(outcome.delivered()[0].1, 5);
     }
 
     #[test]
     fn survivors_are_monotone_nonincreasing() {
-        let t = topo(8, 2, 4, 3);
+        let mut t = engine(8, 2, 4, 3);
         let p = *t.params();
         let requests: Vec<RouteRequest> = (0..p.inputs())
             .map(|s| RouteRequest::new(s, (s * 101 + 17) % p.outputs()))
             .collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         let survivors = outcome.survivors();
         assert_eq!(survivors.len(), (p.l() + 2) as usize);
         for window in survivors.windows(2) {
@@ -249,10 +203,10 @@ mod tests {
     #[test]
     fn crossbar_network_routes_any_permutation_fully() {
         // EDN(8,8,1,1) is an 8x8 crossbar: permutations never block.
-        let t = topo(8, 8, 1, 1);
+        let mut t = engine(8, 8, 1, 1);
         let requests: Vec<RouteRequest> =
             (0..8).map(|s| RouteRequest::new(s, (s + 3) % 8)).collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         assert_eq!(outcome.delivered_count(), 8);
     }
 
@@ -261,11 +215,11 @@ mod tests {
         // A unique-path delta network cannot route all permutations. On
         // this fabric the identity collapses exactly as in Figure 5: every
         // input of a first-stage switch wants the same (capacity-1) bucket.
-        let t = topo(4, 4, 1, 2); // 16x16 delta
+        let mut t = engine(4, 4, 1, 2); // 16x16 delta
         let p = *t.params();
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         assert_eq!(
             outcome.delivered_count(),
             4,
@@ -278,11 +232,11 @@ mod tests {
         // Figure 5: EDN(64,16,4,2) cannot route the identity in one pass —
         // each first-stage hyperbar has 64 sources all wanting the same
         // bucket (capacity 4), so exactly 16 * 4 = 64 of 1024 survive.
-        let t = topo(64, 16, 4, 2);
+        let mut t = engine(64, 16, 4, 2);
         let p = *t.params();
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         assert_eq!(outcome.survivors()[1], 64);
         assert_eq!(outcome.delivered_count(), 64);
         for &(source, output) in outcome.delivered() {
@@ -294,12 +248,12 @@ mod tests {
     fn figure6_reordered_retirement_fixes_identity() {
         // Figure 6: rotate the tag bits left by log2(b) = 4 so stage 1
         // retires s_0's bits; the identity then routes without conflicts.
-        let t = topo(64, 16, 4, 2);
+        let mut t = engine(64, 16, 4, 2);
         let p = *t.params();
         let order = RetirementOrder::rotate_left(p.output_bits(), p.log2_b()).unwrap();
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
-        let outcome = route_batch_reordered(&t, &requests, &order, &mut PriorityArbiter::new());
+        let outcome = t.route_reordered(&requests, &order, &mut PriorityArbiter::new());
         assert_eq!(outcome.delivered_count(), 1024);
         for &(source, output) in outcome.delivered() {
             assert_eq!(
@@ -311,13 +265,13 @@ mod tests {
 
     #[test]
     fn reordered_routing_delivers_to_desired_outputs_generally() {
-        let t = topo(16, 4, 4, 2);
+        let mut t = engine(16, 4, 4, 2);
         let p = *t.params();
         let order = RetirementOrder::rotate_left(p.output_bits(), 3).unwrap();
         let requests: Vec<RouteRequest> = (0..p.inputs())
             .map(|s| RouteRequest::new(s, (s * 11 + 2) % p.outputs()))
             .collect();
-        let outcome = route_batch_reordered(&t, &requests, &order, &mut PriorityArbiter::new());
+        let outcome = t.route_reordered(&requests, &order, &mut PriorityArbiter::new());
         for &(source, output) in outcome.delivered() {
             assert_eq!(output, (source * 11 + 2) % p.outputs());
         }
@@ -326,9 +280,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate request")]
     fn duplicate_sources_panic() {
-        let t = topo(16, 4, 4, 2);
-        route_batch(
-            &t,
+        let mut t = engine(16, 4, 4, 2);
+        t.route(
             &[RouteRequest::new(1, 2), RouteRequest::new(1, 3)],
             &mut PriorityArbiter::new(),
         );
@@ -337,25 +290,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_tag_panics() {
-        let t = topo(16, 4, 4, 2);
-        route_batch(&t, &[RouteRequest::new(0, 64)], &mut PriorityArbiter::new());
+        let mut t = engine(16, 4, 4, 2);
+        t.route(&[RouteRequest::new(0, 64)], &mut PriorityArbiter::new());
     }
 
     #[test]
     fn empty_batch_is_trivially_complete() {
-        let t = topo(16, 4, 4, 2);
-        let outcome = route_batch(&t, &[], &mut PriorityArbiter::new());
+        let mut t = engine(16, 4, 4, 2);
+        let outcome = t.route(&[], &mut PriorityArbiter::new());
         assert_eq!(outcome.offered(), 0);
         assert_eq!(outcome.acceptance_rate(), 1.0);
     }
 
     #[test]
     fn block_reasons_point_at_real_stages() {
-        let t = topo(64, 16, 4, 2);
+        let mut t = engine(64, 16, 4, 2);
         let p = *t.params();
         let requests: Vec<RouteRequest> =
             (0..p.inputs()).map(|s| RouteRequest::new(s, s)).collect();
-        let outcome = route_batch(&t, &requests, &mut PriorityArbiter::new());
+        let outcome = t.route(&requests, &mut PriorityArbiter::new());
         for &(_, reason) in outcome.blocked() {
             match reason {
                 BlockReason::HyperbarStage(stage) => assert!((1..=p.l()).contains(&stage)),

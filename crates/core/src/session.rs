@@ -26,11 +26,12 @@
 //! `SweepWorker` arrangement) routes entire multi-cycle runs without
 //! touching the allocator once warmed up.
 //!
-//! The session layer is oracle-checked, not trusted: the pre-session
-//! caller-driven loops are preserved throughout the workspace (mirroring
-//! the [`crate::reference`] pattern) and property tests assert the session
-//! outcome — delivered set, per-cycle counts, total cycles — is
-//! bit-identical to them across shapes, loads, schedules, and fault masks.
+//! The session layer is oracle-checked, not trusted: property tests assert
+//! the session outcome — delivered set, per-cycle counts, total cycles —
+//! is bit-identical to caller-driven loops across shapes, loads,
+//! schedules, and fault masks. For driver-backed sessions that loop is
+//! [`crate::reference::step_driver`], which routes every cycle with the
+//! pre-engine [`crate::reference::route_batch`].
 //!
 //! # Examples
 //!
@@ -465,19 +466,15 @@ impl<'s, A: Arbiter + ?Sized, P: Probe> RouteSession<'s, A, P> {
                 }
             }
         }
-        let outcome = match (&mut self.probe, self.faults) {
-            (Some(probe), Some(faults)) => {
+        let outcome = match &mut self.probe {
+            Some(probe) => {
                 self.engine
-                    .route_faulty_probed(requests, faults, &mut *self.arbiter, &mut **probe)
+                    .route_with(requests, self.faults, &mut *self.arbiter, &mut **probe)
             }
-            (Some(probe), None) => {
+            None => {
                 self.engine
-                    .route_probed(requests, &mut *self.arbiter, &mut **probe)
+                    .route_with(requests, self.faults, &mut *self.arbiter, &mut NullProbe)
             }
-            (None, Some(faults)) => self
-                .engine
-                .route_faulty(requests, faults, &mut *self.arbiter),
-            (None, None) => self.engine.route(requests, &mut *self.arbiter),
         };
         match &mut self.mode {
             SessionMode::Resident(_) => resident.absorb(outcome),

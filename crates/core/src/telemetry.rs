@@ -39,7 +39,7 @@
 //! let requests: Vec<RouteRequest> = (0..params.inputs())
 //!     .map(|s| RouteRequest::new(s, (s * 7 + 3) % params.outputs()))
 //!     .collect();
-//! engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+//! engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
 //! let metrics = probe.snapshot();
 //! assert_eq!(metrics.offered, params.inputs());
 //! // Offered = delivered + blocked + fault drops, stage by stage.
@@ -53,6 +53,13 @@ use crate::params::EdnParams;
 
 /// A routing-telemetry sink, monomorphized into the engine hot loops.
 ///
+/// Nine hooks: one per arbitrated bucket ([`Probe::arbitrated`]), one
+/// per pass ([`Probe::cycle_end`]), one per session cycle
+/// ([`Probe::queue_depth`]), and one `event_*` per request event. The
+/// events alone carry every per-request count: a pass offers as many
+/// requests as it injects, a stage grants its hops (the crossbar its
+/// delivers), and loses its blocks plus fault drops.
+///
 /// All methods default to empty bodies; implementors override what they
 /// need. Every engine call site is guarded by `if P::ENABLED`, so an
 /// implementation with [`Probe::ENABLED`]` = false` ([`NullProbe`])
@@ -64,13 +71,6 @@ pub trait Probe {
     /// `false` folds every probe call out of the generated code.
     const ENABLED: bool;
 
-    /// A routing pass begins with `offered` requests. Called once per
-    /// engine pass.
-    #[inline(always)]
-    fn cycle_start(&mut self, offered: usize) {
-        let _ = offered;
-    }
-
     /// One bucket was arbitrated at `stage`: `contenders` requests
     /// competed for `capacity` healthy wires of `full` physical wires
     /// (`capacity < full` iff faults disabled some).
@@ -79,21 +79,8 @@ pub trait Probe {
         let _ = (stage, contenders, capacity, full);
     }
 
-    /// A request was granted stage-`stage` exit wire `wire` (an index in
-    /// `0..wires_after_stage(stage)`, or `0..outputs()` for the crossbar
-    /// pseudo-stage `l + 1`).
-    #[inline(always)]
-    fn wire_granted(&mut self, stage: u32, wire: u64) {
-        let _ = (stage, wire);
-    }
-
-    /// A request lost arbitration at `stage` and left the fabric.
-    #[inline(always)]
-    fn request_lost(&mut self, stage: u32) {
-        let _ = stage;
-    }
-
     /// The pass ended with `delivered` requests reaching their outputs.
+    /// Called once per engine pass.
     #[inline(always)]
     fn cycle_end(&mut self, delivered: usize) {
         let _ = delivered;
@@ -107,16 +94,15 @@ pub trait Probe {
         let _ = depth;
     }
 
-    /// Request `(source, tag)` entered the fabric this pass (flight
-    /// recorder: one inject per request per routed cycle).
+    /// Request `(source, tag)` entered the fabric this pass: one inject
+    /// per request per routed cycle, all before the first stage routes.
     #[inline(always)]
     fn event_inject(&mut self, source: u64, tag: u64) {
         let _ = (source, tag);
     }
 
-    /// Request `(source, tag)` was granted stage-`stage` exit wire
-    /// `wire` — the identity-carrying companion of
-    /// [`Probe::wire_granted`].
+    /// Request `(source, tag)` was granted hyperbar-stage `stage` exit
+    /// wire `wire` (an index in `0..wires_after_stage(stage)`).
     #[inline(always)]
     fn event_hop(&mut self, stage: u32, source: u64, tag: u64, wire: u64) {
         let _ = (stage, source, tag, wire);
@@ -144,7 +130,8 @@ pub trait Probe {
         let _ = (source, tag);
     }
 
-    /// Request `(source, tag)` was delivered to `output`.
+    /// Request `(source, tag)` was granted crossbar output `output`: the
+    /// exit wire of the crossbar stage `l + 1`.
     #[inline(always)]
     fn event_deliver(&mut self, source: u64, tag: u64, output: u64) {
         let _ = (source, tag, output);
@@ -160,27 +147,9 @@ impl<A: Probe, B: Probe> Probe for (&mut A, &mut B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
     #[inline(always)]
-    fn cycle_start(&mut self, offered: usize) {
-        self.0.cycle_start(offered);
-        self.1.cycle_start(offered);
-    }
-
-    #[inline(always)]
     fn arbitrated(&mut self, stage: u32, contenders: usize, capacity: usize, full: usize) {
         self.0.arbitrated(stage, contenders, capacity, full);
         self.1.arbitrated(stage, contenders, capacity, full);
-    }
-
-    #[inline(always)]
-    fn wire_granted(&mut self, stage: u32, wire: u64) {
-        self.0.wire_granted(stage, wire);
-        self.1.wire_granted(stage, wire);
-    }
-
-    #[inline(always)]
-    fn request_lost(&mut self, stage: u32) {
-        self.0.request_lost(stage);
-        self.1.request_lost(stage);
     }
 
     #[inline(always)]
@@ -241,6 +210,13 @@ impl Probe for NullProbe {
 }
 
 /// A counting probe resolving routing behaviour per stage and per wire.
+///
+/// It is a fold over the request events (inject, hop, block, fault drop,
+/// deliver) plus the per-bucket [`Probe::arbitrated`] record, the
+/// per-pass [`Probe::cycle_end`] and the session's
+/// [`Probe::queue_depth`]: offered counts injects, a stage's grants are
+/// its hops (the crossbar stage `l + 1`'s are its delivers), and its
+/// losses are its blocks plus fault drops.
 ///
 /// All counters are pre-sized at construction from the shape, so
 /// accumulation is allocation-free; [`StageProbe::snapshot`] clones them
@@ -308,6 +284,12 @@ impl StageProbe {
     /// The shape this probe was sized for.
     pub fn params(&self) -> &EdnParams {
         &self.params
+    }
+
+    /// Counts one grant of exit wire `wire` of `stage`.
+    #[inline]
+    fn grant(&mut self, stage: u32, wire: u64) {
+        self.wire_hits[self.wire_base[stage as usize - 1] + wire as usize] += 1;
     }
 
     /// Zeroes every counter without touching capacities.
@@ -459,35 +441,16 @@ impl Probe for StageProbe {
     const ENABLED: bool = true;
 
     #[inline]
-    fn cycle_start(&mut self, offered: usize) {
-        self.cycles += 1;
-        self.offered += offered as u64;
-    }
-
-    #[inline]
-    fn arbitrated(&mut self, stage: u32, contenders: usize, capacity: usize, full: usize) {
+    fn arbitrated(&mut self, stage: u32, contenders: usize, _capacity: usize, _full: usize) {
         let index = stage as usize - 1;
         self.arb_events[index] += 1;
         self.arb_contenders[index] += contenders as u64;
         self.arb_max_depth[index] = self.arb_max_depth[index].max(contenders as u64);
-        // Losers a healthy bucket would have carried: min(n, full) wins
-        // shrink to min(n, capacity) when faults disable wires.
-        let drops = contenders.min(full) - contenders.min(capacity);
-        self.fault_drops[index] += drops as u64;
-    }
-
-    #[inline]
-    fn wire_granted(&mut self, stage: u32, wire: u64) {
-        self.wire_hits[self.wire_base[stage as usize - 1] + wire as usize] += 1;
-    }
-
-    #[inline]
-    fn request_lost(&mut self, stage: u32) {
-        self.lost[stage as usize - 1] += 1;
     }
 
     #[inline]
     fn cycle_end(&mut self, delivered: usize) {
+        self.cycles += 1;
         self.delivered += delivered as u64;
     }
 
@@ -496,6 +459,32 @@ impl Probe for StageProbe {
         self.queue_sum += depth as u64;
         self.queue_samples += 1;
         self.queue_max = self.queue_max.max(depth as u64);
+    }
+
+    #[inline]
+    fn event_inject(&mut self, _source: u64, _tag: u64) {
+        self.offered += 1;
+    }
+
+    #[inline]
+    fn event_hop(&mut self, stage: u32, _source: u64, _tag: u64, wire: u64) {
+        self.grant(stage, wire);
+    }
+
+    #[inline]
+    fn event_block(&mut self, stage: u32, _source: u64, _tag: u64, _losers: usize) {
+        self.lost[stage as usize - 1] += 1;
+    }
+
+    #[inline]
+    fn event_fault_drop(&mut self, stage: u32, _source: u64, _tag: u64) {
+        self.lost[stage as usize - 1] += 1;
+        self.fault_drops[stage as usize - 1] += 1;
+    }
+
+    #[inline]
+    fn event_deliver(&mut self, _source: u64, _tag: u64, output: u64) {
+        self.grant(self.params.l() + 1, output);
     }
 }
 
@@ -594,7 +583,7 @@ mod tests {
         let requests: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, s))
             .collect();
-        let outcome = engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+        let outcome = engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
         let delivered = outcome.delivered_count() as u64;
         let survivors = outcome.survivors().to_vec();
         let metrics = probe.snapshot();
@@ -619,7 +608,7 @@ mod tests {
         let requests: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, 0))
             .collect();
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
         let metrics = probe.snapshot();
         assert_eq!(metrics.delivered, 1);
         assert!(metrics.reconciles(), "{metrics:?}");
@@ -636,9 +625,9 @@ mod tests {
             .map(|s| RouteRequest::new(s, (s * 3 + 1) % params.outputs()))
             .collect();
         let mut one = StageProbe::new(&params);
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut one);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut one);
         let mut two = StageProbe::new(&params);
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut two);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut two);
         two.absorb(&one);
         let single = one.snapshot();
         let merged = two.snapshot();
@@ -652,8 +641,9 @@ mod tests {
     fn reset_zeroes_without_reallocating() {
         let params = EdnParams::new(8, 4, 2, 2).unwrap();
         let mut probe = StageProbe::new(&params);
-        probe.cycle_start(5);
-        probe.request_lost(1);
+        probe.event_inject(0, 0);
+        probe.event_block(1, 0, 0, 1);
+        probe.cycle_end(0);
         probe.queue_depth(3);
         let cap = probe.wire_hits.capacity();
         probe.reset();

@@ -36,7 +36,7 @@
 //! let requests: Vec<RouteRequest> = (0..params.inputs())
 //!     .map(|s| RouteRequest::new(s, (s * 7 + 3) % params.outputs()))
 //!     .collect();
-//! engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+//! engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
 //! assert_eq!(probe.dropped(), 0);
 //! let injects = probe
 //!     .events()
@@ -430,8 +430,8 @@ mod tests {
         let requests: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, (s * 5 + 1) % params.outputs()))
             .collect();
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
         assert_eq!(probe.cycle(), 2);
         assert!(probe.events().iter().any(|e| e.cycle == 0));
         assert!(probe.events().iter().any(|e| e.cycle == 1));
@@ -457,11 +457,11 @@ mod tests {
             .collect();
         // Count the full event stream, then replay with a tiny ring.
         let mut full = TraceProbe::new(1 << 16, TraceFilter::default());
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut full);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut full);
         assert_eq!(full.dropped(), 0);
         let total = full.events().len();
         let mut tiny = TraceProbe::new(5, TraceFilter::default());
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut tiny);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut tiny);
         assert_eq!(tiny.events().len(), 5);
         assert_eq!(tiny.dropped() as usize, total - 5);
         assert_eq!(tiny.events(), &full.events()[..5]);
@@ -480,7 +480,7 @@ mod tests {
         let requests: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, (s + 9) % params.outputs()))
             .collect();
-        engine.route_probed(&requests, &mut PriorityArbiter::new(), &mut probe);
+        engine.route_with(&requests, None, &mut PriorityArbiter::new(), &mut probe);
         assert!(!probe.events().is_empty());
         assert!(probe.events().iter().all(|e| e.source == 7));
     }

@@ -5,8 +5,8 @@
 //! them.
 
 use edn_core::{
-    reference, Arbiter, EdnParams, EdnTopology, FaultSet, PriorityArbiter, RandomArbiter,
-    RetirementOrder, RoundRobinArbiter, RouteRequest, RoutingEngine,
+    reference, Arbiter, EdnParams, EdnTopology, FaultSet, NullProbe, PriorityArbiter,
+    RandomArbiter, RetirementOrder, RoundRobinArbiter, RouteRequest, RoutingEngine,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -92,9 +92,9 @@ proptest! {
         let batch = uniform_batch(&params, seed, load_pct as f64 / 100.0);
         let (mut ref_arb, mut eng_arb) = arbiter_pair(kind, seed ^ 0x5EED);
         let expected =
-            reference::route_batch_faulty(&topology, &batch, &faults, ref_arb.as_mut());
+            reference::route_batch_with(&topology, &batch, Some(&faults), ref_arb.as_mut());
         let mut engine = RoutingEngine::new(topology);
-        let actual = engine.route_faulty(&batch, &faults, eng_arb.as_mut()).to_outcome();
+        let actual = engine.route_with(&batch, Some(&faults), eng_arb.as_mut(), &mut NullProbe).to_outcome();
         prop_assert_eq!(actual, expected);
     }
 
@@ -144,13 +144,8 @@ proptest! {
                 reference::route_batch(&topology, &batch, &mut PriorityArbiter::new());
             prop_assert_eq!(healthy, expected_healthy);
             let faulty =
-                engine.route_faulty(&batch, &faults, &mut PriorityArbiter::new()).to_outcome();
-            let expected_faulty = reference::route_batch_faulty(
-                &topology,
-                &batch,
-                &faults,
-                &mut PriorityArbiter::new(),
-            );
+                engine.route_with(&batch, Some(&faults), &mut PriorityArbiter::new(), &mut NullProbe).to_outcome();
+            let expected_faulty = reference::route_batch_with(&topology, &batch, Some(&faults), &mut PriorityArbiter::new());
             prop_assert_eq!(faulty, expected_faulty);
         }
     }
@@ -209,10 +204,19 @@ fn assert_matches_reference(params: EdnParams, batches: &[Vec<RouteRequest>]) {
             let expected = reference::route_batch(&topology, batch, ref_arb.as_mut());
             let actual = engine.route(batch, eng_arb.as_mut()).to_outcome();
             assert_eq!(actual, expected, "{params} arbiter {kind} cycle {cycle}");
-            let expected =
-                reference::route_batch_faulty(&topology, batch, &faults, ref_faulty_arb.as_mut());
+            let expected = reference::route_batch_with(
+                &topology,
+                batch,
+                Some(&faults),
+                ref_faulty_arb.as_mut(),
+            );
             let actual = engine
-                .route_faulty(batch, &faults, eng_faulty_arb.as_mut())
+                .route_with(
+                    batch,
+                    Some(&faults),
+                    eng_faulty_arb.as_mut(),
+                    &mut NullProbe,
+                )
                 .to_outcome();
             assert_eq!(
                 actual, expected,

@@ -1,6 +1,6 @@
 //! Asserts the engine's headline property with a counting global
 //! allocator: once warmed up, [`RoutingEngine::route`],
-//! [`RoutingEngine::route_faulty`], and [`RoutingEngine::route_reordered`]
+//! [`RoutingEngine::route_with`], and [`RoutingEngine::route_reordered`]
 //! (with its equality-keyed inverse cache holding a repeated order)
 //! perform **zero heap allocations**, for every arbitration policy, on
 //! the MasPar-shaped `EDN(64, 16, 4, 2)` at full load — and so does the
@@ -21,7 +21,7 @@
 
 // edn-lint: allow-file(unsafe-containment) -- the counting GlobalAlloc that enforces the zero-alloc invariant requires unsafe impls
 use edn_core::{
-    ClusterSchedule, EdnParams, FaultSet, PriorityArbiter, RandomArbiter, Resubmit,
+    ClusterSchedule, EdnParams, FaultSet, NullProbe, PriorityArbiter, RandomArbiter, Resubmit,
     RetirementOrder, RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState, StageProbe,
     TraceFilter, TraceProbe,
 };
@@ -188,9 +188,9 @@ fn steady_state_routing_does_not_allocate() {
         engine.route(batch, &mut priority);
         engine.route(batch, &mut random);
         engine.route(batch, &mut round_robin);
-        engine.route_faulty(batch, &faults, &mut random);
-        engine.route_probed(batch, &mut priority, &mut probe);
-        engine.route_faulty_probed(batch, &faults, &mut random, &mut probe);
+        engine.route_with(batch, Some(&faults), &mut random, &mut NullProbe);
+        engine.route_with(batch, None, &mut priority, &mut probe);
+        engine.route_with(batch, Some(&faults), &mut random, &mut probe);
         engine.route_reordered(batch, &order, &mut priority);
     }
 
@@ -201,9 +201,9 @@ fn steady_state_routing_does_not_allocate() {
             engine.route(batch, &mut priority);
             engine.route(batch, &mut random);
             engine.route(batch, &mut round_robin);
-            engine.route_faulty(batch, &faults, &mut random);
-            engine.route_probed(batch, &mut priority, &mut probe);
-            engine.route_faulty_probed(batch, &faults, &mut random, &mut probe);
+            engine.route_with(batch, Some(&faults), &mut random, &mut NullProbe);
+            engine.route_with(batch, None, &mut priority, &mut probe);
+            engine.route_with(batch, Some(&faults), &mut random, &mut probe);
             engine.route_reordered(batch, &order, &mut priority);
         }
     }
@@ -211,7 +211,7 @@ fn steady_state_routing_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state route()/route_faulty()/route_reordered() must not touch the allocator, probed or not"
+        "steady-state route()/route_with()/route_reordered() must not touch the allocator, probed or not"
     );
 
     // --- The flight recorder holds the same guarantee. ---
@@ -230,9 +230,14 @@ fn steady_state_routing_does_not_allocate() {
                        random: &mut RandomArbiter<StdRng>| {
         for batch in &batches {
             trace.clear();
-            engine.route_probed(batch, priority, trace);
-            engine.route_faulty_probed(batch, &faults, random, &mut (&mut *probe, &mut *trace));
-            engine.route_probed(batch, priority, tiny);
+            engine.route_with(batch, None, priority, trace);
+            engine.route_with(
+                batch,
+                Some(&faults),
+                random,
+                &mut (&mut *probe, &mut *trace),
+            );
+            engine.route_with(batch, None, priority, tiny);
         }
     };
     trace_round(
@@ -333,11 +338,11 @@ fn steady_state_routing_does_not_allocate() {
             engine.route(batch, &mut priority);
             engine.route(batch, &mut random);
             engine.route(batch, &mut round_robin);
-            engine.route_faulty(batch, &wide_faults, &mut priority);
-            engine.route_probed(batch, &mut priority, &mut wide_probe);
+            engine.route_with(batch, Some(&wide_faults), &mut priority, &mut NullProbe);
+            engine.route_with(batch, None, &mut priority, &mut wide_probe);
             wide_trace.clear();
-            engine.route_probed(batch, &mut round_robin, &mut wide_trace);
-            engine.route_faulty_probed(batch, &wide_faults, &mut random, &mut wide_trace);
+            engine.route_with(batch, None, &mut round_robin, &mut wide_trace);
+            engine.route_with(batch, Some(&wide_faults), &mut random, &mut wide_trace);
         }
     }
     let after = allocations();

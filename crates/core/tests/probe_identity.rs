@@ -9,8 +9,8 @@
 //! engine's own outcome counters.
 
 use edn_core::{
-    Arbiter, ClusterSchedule, EdnParams, FaultSet, PriorityArbiter, RandomArbiter, Resubmit,
-    RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState, StageProbe,
+    Arbiter, ClusterSchedule, EdnParams, FaultSet, NullProbe, PriorityArbiter, RandomArbiter,
+    Resubmit, RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState, StageProbe,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -72,8 +72,8 @@ fn cycle_seed(seed: u64, cycle: usize) -> u64 {
 }
 
 proptest! {
-    /// Scalar passes: `route_probed` / `route_faulty_probed` match the
-    /// unprobed entries bit-for-bit, and the probe reconciles against the
+    /// Scalar passes: `route_with` with a [`StageProbe`] matches it with
+    /// [`NullProbe`] bit-for-bit, healthy and faulty, and the probe reconciles against the
     /// outcome's own counters.
     #[test]
     fn scalar_outcomes_are_probe_invariant(
@@ -97,18 +97,13 @@ proptest! {
             offered_total += requests.len() as u64;
             let (expected, observed) = if faulty {
                 (
-                    plain.route_faulty(&requests, &faults, plain_arbiter.as_mut()),
-                    probed.route_faulty_probed(
-                        &requests,
-                        &faults,
-                        probed_arbiter.as_mut(),
-                        &mut probe,
-                    ),
+                    plain.route_with(&requests, Some(&faults), plain_arbiter.as_mut(), &mut NullProbe),
+                    probed.route_with(&requests, Some(&faults), probed_arbiter.as_mut(), &mut probe),
                 )
             } else {
                 (
                     plain.route(&requests, plain_arbiter.as_mut()),
-                    probed.route_probed(&requests, probed_arbiter.as_mut(), &mut probe),
+                    probed.route_with(&requests, None, probed_arbiter.as_mut(), &mut probe),
                 )
             };
             delivered_total += expected.delivered_count() as u64;

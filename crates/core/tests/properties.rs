@@ -4,8 +4,8 @@
 //! closed forms.
 
 use edn_core::{
-    cost, route_batch, route_batch_reordered, DestTag, EdnParams, EdnTopology, Gamma, Hyperbar,
-    PriorityArbiter, RandomArbiter, RetirementOrder, RouteRequest, SourceAddress,
+    cost, DestTag, EdnParams, EdnTopology, Gamma, Hyperbar, PriorityArbiter, RandomArbiter,
+    RetirementOrder, RouteRequest, RoutingEngine, SourceAddress,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -210,7 +210,7 @@ proptest! {
 
     #[test]
     fn route_batch_invariants(params in params_strategy(), seed in any::<u64>()) {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut requests = Vec::new();
         for source in 0..params.inputs() {
@@ -222,7 +222,7 @@ proptest! {
             }
         }
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(seed ^ 1));
-        let outcome = route_batch(&topology, &requests, &mut arbiter);
+        let outcome = engine.route(&requests, &mut arbiter);
         // Conservation.
         prop_assert_eq!(
             outcome.delivered_count() + outcome.blocked().len(),
@@ -252,7 +252,7 @@ proptest! {
         rotation in 0u32..16,
         seed in any::<u64>(),
     ) {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let bits = params.output_bits();
         let order = RetirementOrder::rotate_left(bits, rotation % bits.max(1)).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -263,8 +263,7 @@ proptest! {
                 rand::Rng::gen_range(&mut rng, 0..params.outputs()),
             ));
         }
-        let outcome =
-            route_batch_reordered(&topology, &requests, &order, &mut PriorityArbiter::new());
+        let outcome = engine.route_reordered(&requests, &order, &mut PriorityArbiter::new());
         let lookup: std::collections::BTreeMap<u64, u64> =
             requests.iter().map(|r| (r.source, r.tag)).collect();
         for &(source, output) in outcome.delivered() {

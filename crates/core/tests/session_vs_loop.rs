@@ -8,8 +8,8 @@
 //! [`RoutingEngine::route`] once per cycle.
 
 use edn_core::{
-    ClusterSchedule, EdnParams, FaultSet, RandomArbiter, Resubmit, RouteRequest, RoutingEngine,
-    SessionState,
+    ClusterSchedule, EdnParams, FaultSet, NullProbe, RandomArbiter, Resubmit, RouteRequest,
+    RoutingEngine, SessionState,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -94,10 +94,7 @@ fn resident_oracle(
             }
             submit.push(*entry);
         }
-        let outcome = match faults {
-            Some(faults) => engine.route_faulty(&submit, faults, &mut arbiter),
-            None => engine.route(&submit, &mut arbiter),
-        };
+        let outcome = engine.route_with(&submit, faults, &mut arbiter, &mut NullProbe);
         for &(source, _) in outcome.delivered() {
             delivered_mask[source as usize] = true;
         }

@@ -14,8 +14,8 @@
 //!    unbounded event count, and the recorded prefix is identical.
 
 use edn_core::{
-    Arbiter, EdnParams, FaultSet, PriorityArbiter, RandomArbiter, RoundRobinArbiter, RouteRequest,
-    RoutingEngine, StageProbe, TraceEventKind, TraceFilter, TraceProbe,
+    Arbiter, EdnParams, FaultSet, NullProbe, PriorityArbiter, RandomArbiter, RoundRobinArbiter,
+    RouteRequest, RoutingEngine, StageProbe, TraceEventKind, TraceFilter, TraceProbe,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,32 +104,14 @@ proptest! {
         for cycle in 0..cycles {
             let requests = batch(&params, load, cycle_seed(seed, cycle));
             offered_total += requests.len();
-            let expected = if faulty {
-                plain.route_faulty(&requests, &faults, plain_arbiter.as_mut())
+            let faults = faulty.then_some(&faults);
+            let expected =
+                plain.route_with(&requests, faults, plain_arbiter.as_mut(), &mut NullProbe);
+            let observed = if tee {
+                let mut both = (&mut stage_probe, &mut trace);
+                probed.route_with(&requests, faults, probed_arbiter.as_mut(), &mut both)
             } else {
-                plain.route(&requests, plain_arbiter.as_mut())
-            };
-            let observed = match (faulty, tee) {
-                (true, true) => probed.route_faulty_probed(
-                    &requests,
-                    &faults,
-                    probed_arbiter.as_mut(),
-                    &mut (&mut stage_probe, &mut trace),
-                ),
-                (true, false) => probed.route_faulty_probed(
-                    &requests,
-                    &faults,
-                    probed_arbiter.as_mut(),
-                    &mut trace,
-                ),
-                (false, true) => probed.route_probed(
-                    &requests,
-                    probed_arbiter.as_mut(),
-                    &mut (&mut stage_probe, &mut trace),
-                ),
-                (false, false) => {
-                    probed.route_probed(&requests, probed_arbiter.as_mut(), &mut trace)
-                }
+                probed.route_with(&requests, faults, probed_arbiter.as_mut(), &mut trace)
             };
             delivered_total += expected.delivered_count();
             prop_assert_eq!(observed, expected, "cycle {} kind {}", cycle, kind);
@@ -152,12 +134,33 @@ proptest! {
             prop_assert_eq!(count(TraceEventKind::FaultDrop), 0);
         }
         if tee {
-            // The tee's StageProbe saw the same run: aggregate totals
-            // equal the trace's event counts.
+            // The tee's StageProbe saw the same run: its totals and, stage
+            // by stage, its grants, blocks and fault drops equal the
+            // trace's event counts. The crossbar stage `l + 1` grants are
+            // the trace's delivers, which carry stage 0.
             let metrics = stage_probe.snapshot();
             prop_assert_eq!(metrics.offered as usize, offered_total);
             prop_assert_eq!(metrics.delivered as usize, delivered_total);
             prop_assert!(metrics.reconciles(), "{:?}", metrics);
+            let at = |kind: TraceEventKind, stage: u32| {
+                trace.events().iter().filter(|e| e.kind == kind && e.stage == stage).count() as u64
+            };
+            for stage in &metrics.stages {
+                let s = stage.stage;
+                let granted = if s == params.l() + 1 {
+                    count(TraceEventKind::Deliver) as u64
+                } else {
+                    at(TraceEventKind::Hop, s)
+                };
+                prop_assert_eq!(stage.granted, granted, "stage {} grants", s);
+                prop_assert_eq!(stage.blocked, at(TraceEventKind::Block, s), "stage {} blocks", s);
+                prop_assert_eq!(
+                    stage.fault_drops,
+                    at(TraceEventKind::FaultDrop, s),
+                    "stage {} fault drops",
+                    s
+                );
+            }
         }
     }
 
@@ -178,7 +181,7 @@ proptest! {
         let mut arbiter = build_arbiter(kind, seed);
         let mut trace = TraceProbe::new(roomy_capacity(&params, 1), TraceFilter::default());
         let requests = batch(&params, load, seed);
-        let outcome = engine.route_probed(&requests, arbiter.as_mut(), &mut trace);
+        let outcome = engine.route_with(&requests, None, arbiter.as_mut(), &mut trace);
         let delivered: Vec<(u64, u64)> = outcome.delivered().to_vec();
         prop_assert_eq!(trace.dropped(), 0);
         let wiring = engine.wiring().clone();
@@ -241,12 +244,12 @@ proptest! {
         let mut full_engine = RoutingEngine::from_params(params);
         let mut full_arbiter = build_arbiter(kind, seed);
         let mut full = TraceProbe::new(roomy_capacity(&params, 1), TraceFilter::default());
-        let unbounded = full_engine.route_probed(&requests, full_arbiter.as_mut(), &mut full);
+        let unbounded = full_engine.route_with(&requests, None, full_arbiter.as_mut(), &mut full);
         prop_assert_eq!(full.dropped(), 0);
         let mut tiny_engine = RoutingEngine::from_params(params);
         let mut tiny_arbiter = build_arbiter(kind, seed);
         let mut tiny = TraceProbe::new(capacity, TraceFilter::default());
-        let bounded = tiny_engine.route_probed(&requests, tiny_arbiter.as_mut(), &mut tiny);
+        let bounded = tiny_engine.route_with(&requests, None, tiny_arbiter.as_mut(), &mut tiny);
         prop_assert_eq!(bounded, unbounded, "a full ring never perturbs routing");
         let total = full.events().len();
         let kept = total.min(capacity);
@@ -270,7 +273,7 @@ proptest! {
             let mut engine = RoutingEngine::from_params(params);
             let mut arbiter = build_arbiter(kind, seed);
             let mut trace = TraceProbe::new(roomy_capacity(&params, 1), filter);
-            engine.route_probed(&requests, arbiter.as_mut(), &mut trace);
+            engine.route_with(&requests, None, arbiter.as_mut(), &mut trace);
             trace
         };
         let everything = run(TraceFilter::default());

@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use edn_core::{EdnParams, FaultSet, PriorityArbiter, RandomArbiter, RouteRequest, RoutingEngine};
+use edn_core::{
+    EdnParams, FaultSet, NullProbe, PriorityArbiter, RandomArbiter, RouteRequest, RoutingEngine,
+};
 use edn_fabric::Fabric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,10 +88,20 @@ fn loaded_fabric_routes_identically_under_faults() {
             let faults = FaultSet::random(&p, fraction, seed);
             let requests = batch(&p, seed);
             let a = wired
-                .route_faulty(&requests, &faults, &mut PriorityArbiter::new())
+                .route_with(
+                    &requests,
+                    Some(&faults),
+                    &mut PriorityArbiter::new(),
+                    &mut NullProbe,
+                )
                 .to_outcome();
             let b = loaded
-                .route_faulty(&requests, &faults, &mut PriorityArbiter::new())
+                .route_with(
+                    &requests,
+                    Some(&faults),
+                    &mut PriorityArbiter::new(),
+                    &mut NullProbe,
+                )
                 .to_outcome();
             assert_eq!(a, b, "{p} fault seed {seed}");
         }

@@ -16,7 +16,6 @@
 //! | `hot-path-alloc` | no allocating constructs inside `// edn-lint: hot-path` regions |
 //! | `cast-audit` | no unchecked narrowing `as` casts (`as u8/u16/u32/i8/i16/i32`) |
 //! | `unsafe-containment` | `unsafe` only in `crates/fabric/src/mmap.rs`; every crate lib root opens with `#![forbid(unsafe_code)]` (fabric: `#![deny(unsafe_op_in_unsafe_fn)]`) |
-//! | `probe-discipline` | every `*_probed` routing entry point in `edn_core` keeps a `NullProbe`-defaulted twin |
 //!
 //! # Suppressions
 //!

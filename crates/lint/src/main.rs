@@ -25,9 +25,9 @@ Options:
                    denies every rule (what CI runs)
   --help           print this message
 
-Rules: determinism, hot-path-alloc, cast-audit, unsafe-containment,
-probe-discipline (plus `suppression` for malformed directives, always
-denied when any -D is given). Suppress a judged-safe site with
+Rules: determinism, hot-path-alloc, cast-audit, unsafe-containment
+(plus `suppression` for malformed directives, always denied when any
+-D is given). Suppress a judged-safe site with
 `// edn-lint: allow(rule) -- reason`; see README \"Static analysis\".";
 
 struct Args {

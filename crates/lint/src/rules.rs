@@ -1,4 +1,4 @@
-//! The token-stream rule engine and the five invariant rules.
+//! The token-stream rule engine and the four invariant rules.
 //!
 //! Every rule is grounded in a guarantee the workspace already makes at
 //! runtime; the lint makes it hold for code paths no test exercises.
@@ -24,8 +24,6 @@ pub enum Rule {
     /// `unsafe` outside the fabric mmap module, or a crate lib missing
     /// its `#![forbid(unsafe_code)]` header.
     UnsafeContainment,
-    /// A `*_probed` routing entry point without its probe-free twin.
-    ProbeDiscipline,
     /// A malformed lint directive (e.g. a suppression without a
     /// reason). Not suppressible.
     Suppression,
@@ -34,12 +32,11 @@ pub enum Rule {
 impl Rule {
     /// Every real rule, in catalog order (`Suppression` is the
     /// directive-grammar meta-rule, always on).
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::Determinism,
         Rule::HotPathAlloc,
         Rule::CastAudit,
         Rule::UnsafeContainment,
-        Rule::ProbeDiscipline,
     ];
 
     /// The rule's catalog name.
@@ -49,7 +46,6 @@ impl Rule {
             Rule::HotPathAlloc => "hot-path-alloc",
             Rule::CastAudit => "cast-audit",
             Rule::UnsafeContainment => "unsafe-containment",
-            Rule::ProbeDiscipline => "probe-discipline",
             Rule::Suppression => "suppression",
         }
     }
@@ -61,7 +57,6 @@ impl Rule {
             "hot-path-alloc" => Some(Rule::HotPathAlloc),
             "cast-audit" => Some(Rule::CastAudit),
             "unsafe-containment" => Some(Rule::UnsafeContainment),
-            "probe-discipline" => Some(Rule::ProbeDiscipline),
             _ => None,
         }
     }
@@ -533,51 +528,6 @@ fn rule_unsafe_containment(ctx: &mut FileCtx<'_>) {
     }
 }
 
-/// probe-discipline: every `*_probed` routing entry point in
-/// `crates/core/src` has a `NullProbe`-defaulted twin (same name with
-/// `_probed` removed) in the same file.
-fn rule_probe_discipline(ctx: &mut FileCtx<'_>) {
-    if crate_of(ctx.path) != Some("core") || !ctx.path.contains("/src/") {
-        return;
-    }
-    let toks = ctx.toks();
-    let mut fn_names: BTreeSet<&str> = BTreeSet::new();
-    let mut probed: Vec<&Tok> = Vec::new();
-    for (idx, tok) in toks.iter().enumerate() {
-        if tok.kind == TokKind::Ident && tok.text == "fn" {
-            if let Some(name) = toks.get(idx + 1).filter(|t| t.kind == TokKind::Ident) {
-                fn_names.insert(&name.text);
-                if name.text.contains("_probed") {
-                    probed.push(name);
-                }
-            }
-        }
-    }
-    let missing: Vec<(usize, usize, String, String)> = probed
-        .iter()
-        .filter_map(|tok| {
-            let twin = tok.text.replace("_probed", "");
-            if fn_names.contains(twin.as_str()) {
-                None
-            } else {
-                Some((tok.line, tok.col, tok.text.clone(), twin))
-            }
-        })
-        .collect();
-    for (line, col, name, twin) in missing {
-        ctx.report(
-            line,
-            col,
-            Rule::ProbeDiscipline,
-            format!(
-                "`{name}` has no probe-free twin `{twin}` in this file: every \
-                 probed routing entry point must keep a NullProbe-defaulted \
-                 counterpart so probes stay a zero-cost opt-in"
-            ),
-        );
-    }
-}
-
 /// Runs every rule over one file and applies its suppressions.
 ///
 /// `path` is the file's workspace-relative path — rules scope by it
@@ -598,7 +548,6 @@ pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
     rule_hot_path_alloc(&mut ctx, &regions);
     rule_cast_audit(&mut ctx);
     rule_unsafe_containment(&mut ctx);
-    rule_probe_discipline(&mut ctx);
 
     // Apply suppressions: site allows kill findings on their target
     // line, file allows kill findings file-wide. `suppression`

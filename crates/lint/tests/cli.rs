@@ -37,7 +37,6 @@ fn seeded_violations_exit_nonzero_under_deny() {
         "hot_path",
         "cast_audit",
         "unsafe_containment",
-        "probe",
         "suppression",
     ] {
         let dir = format!("crates/lint/fixtures/{group}/bad");
@@ -60,7 +59,6 @@ fn good_fixtures_are_clean() {
         "hot_path",
         "cast_audit",
         "unsafe_containment",
-        "probe",
         "suppression",
     ] {
         let dir = format!("crates/lint/fixtures/{group}/good");

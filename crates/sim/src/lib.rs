@@ -18,6 +18,13 @@
 //!   EDN, routing permutations under a random schedule (Figure 12).
 //! * [`stats`] — small running-statistics helpers used throughout.
 //!
+//! Every multi-cycle model runs as one session on the routing engine
+//! ([`edn_core::RouteSession`]). The MIMD and Monte-Carlo models are
+//! [`edn_core::CycleDriver`]s, and their differential tests step the
+//! same driver through [`edn_core::reference::step_driver`], the
+//! caller-driven loop over the pre-engine router, and assert
+//! bit-identical reports.
+//!
 //! # Quick start
 //!
 //! Measure the full-load acceptance of the MasPar-shaped network and
@@ -48,8 +55,7 @@ pub mod stats;
 pub use mimd::{MimdReport, MimdSystem, ResubmitPolicy};
 pub use montecarlo::{
     estimate_pa, estimate_pa_permutation, estimate_pa_seeds, estimate_pa_seeds_with,
-    estimate_pa_with, estimate_pa_with_reference, map_seeds, map_seeds_chunked_with,
-    map_seeds_with, AcceptanceEstimate,
+    estimate_pa_with, map_seeds, map_seeds_with, AcceptanceEstimate,
 };
 pub use network::{ArbiterKind, NetworkSim};
 pub use simd::{PermutationRun, RaEdnSystem, Schedule};

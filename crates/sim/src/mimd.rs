@@ -74,21 +74,19 @@ pub struct MimdSystem {
     policy: ResubmitPolicy,
     /// `pending[i] = Some(module)` while processor `i` waits on `module`.
     pending: Vec<Option<u64>>,
-    /// Per-cycle request buffer for the caller-driven [`MimdSystem::step`]
-    /// path, reused so steady-state stepping never allocates.
-    requests: Vec<RouteRequest>,
-    /// Resident session buffers for [`MimdSystem::run`], reused across
-    /// runs.
+    /// Resident session buffers for [`MimdSystem::run`] and
+    /// [`MimdSystem::step`], reused across runs.
     session: SessionState,
 }
 
+/// The arbiter stream of seed `s` is seeded with `s ^ ARBITER_SALT`, so it
+/// never coincides with the processor stream seeded with `s`.
+const ARBITER_SALT: u64 = 0x00C0_FFEE;
+
 /// The processor population as a [`CycleDriver`]: per-cycle fresh-request
 /// injection plus resubmission of waiting processors, with measured-window
-/// statistics accumulated in place.
-///
-/// The request-construction and RNG-draw order is exactly that of
-/// [`MimdSystem::step`], so a session run is bit-identical to the
-/// caller-driven loop it replaced (asserted by the differential tests).
+/// statistics accumulated in place. Both [`MimdSystem::run`] and
+/// [`MimdSystem::step`] drive it.
 struct MimdDriver<'a> {
     pending: &'a mut [Option<u64>],
     rng: &'a mut StdRng,
@@ -105,6 +103,27 @@ struct MimdDriver<'a> {
     acceptance: RunningStats,
     offered: u64,
     delivered: u64,
+}
+
+impl MimdDriver<'_> {
+    /// The measured window's report (`cycles` measured cycles).
+    fn report(&self, cycles: u32) -> MimdReport {
+        let acceptance = if self.offered == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / self.offered as f64
+        };
+        MimdReport {
+            cycles,
+            offered: self.offered,
+            delivered: self.delivered,
+            acceptance,
+            waiting_fraction: self.waiting.mean(),
+            effective_rate: self.offered as f64 / (cycles as f64 * self.processors),
+            bandwidth: self.delivered as f64 / cycles as f64,
+            acceptance_std_error: self.acceptance.std_error(),
+        }
+    }
 }
 
 impl CycleDriver for MimdDriver<'_> {
@@ -172,12 +191,11 @@ impl MimdSystem {
             });
         }
         Ok(MimdSystem {
-            sim: NetworkSim::new(params, arbiter, seed ^ 0x00C0_FFEE),
+            sim: NetworkSim::new(params, arbiter, seed ^ ARBITER_SALT),
             rng: StdRng::seed_from_u64(seed),
             rate,
             policy,
             pending: vec![None; params.inputs() as usize],
-            requests: Vec::with_capacity(params.inputs() as usize),
             session: SessionState::new(),
         })
     }
@@ -197,36 +215,35 @@ impl MimdSystem {
         self.pending.iter().filter(|p| p.is_some()).count()
     }
 
+    /// The processor population as a driver whose cycles before `warmup`
+    /// are routed but unmeasured, next to the simulator and session
+    /// buffers that route it.
+    fn driver(&mut self, warmup: u64) -> (MimdDriver<'_>, &mut NetworkSim, &mut SessionState) {
+        let driver = MimdDriver {
+            modules: self.modules(),
+            processors: self.processors() as f64,
+            waiting_now: self.waiting_now(),
+            pending: &mut self.pending,
+            rng: &mut self.rng,
+            rate: self.rate,
+            policy: self.policy,
+            warmup,
+            waiting: RunningStats::new(),
+            acceptance: RunningStats::new(),
+            offered: 0,
+            delivered: 0,
+        };
+        (driver, &mut self.sim, &mut self.session)
+    }
+
     /// Advances one network cycle; returns `(offered, delivered)`.
     ///
-    /// Steady-state steps are allocation-free: the request buffer and the
-    /// routing engine's scratch are both reused across cycles.
+    /// This is one unmeasured cycle of the session [`MimdSystem::run`]
+    /// steps, so it draws from the same streams in the same order.
     pub fn step(&mut self) -> (usize, usize) {
-        let modules = self.modules();
-        self.requests.clear();
-        for (proc_id, pending) in self.pending.iter_mut().enumerate() {
-            let destination = match (*pending, self.policy) {
-                (Some(module), ResubmitPolicy::SameDestination) => Some(module),
-                (Some(_), ResubmitPolicy::Redraw) => Some(self.rng.gen_range(0..modules)),
-                (None, _) => {
-                    if self.rate > 0.0 && self.rng.gen_bool(self.rate) {
-                        Some(self.rng.gen_range(0..modules))
-                    } else {
-                        None
-                    }
-                }
-            };
-            if let Some(module) = destination {
-                *pending = Some(module);
-                self.requests
-                    .push(RouteRequest::new(proc_id as u64, module));
-            }
-        }
-        let outcome = self.sim.route_cycle_view(&self.requests);
-        for &(source, _) in outcome.delivered() {
-            self.pending[source as usize] = None;
-        }
-        (outcome.offered(), outcome.delivered_count())
+        let (mut driver, sim, session) = self.driver(1);
+        let (offered, delivered) = sim.run_session(session, &mut driver, 1);
+        (offered as usize, delivered as usize)
     }
 
     /// Runs `warmup` unmeasured cycles followed by `cycles` measured ones.
@@ -235,87 +252,13 @@ impl MimdSystem {
     /// engine ([`edn_core::RouteSession::step_n`]): the processor
     /// population stays inside the session layer instead of
     /// round-tripping through the caller once per cycle, and repeated
-    /// runs reuse every buffer. Bit-identical to the caller-driven
-    /// [`MimdSystem::run_caller_driven`] oracle by construction (asserted
-    /// by the differential tests).
+    /// runs reuse every buffer. The differential tests assert it is
+    /// bit-identical to the same processor model stepped by
+    /// [`edn_core::reference::step_driver`].
     pub fn run(&mut self, warmup: u32, cycles: u32) -> MimdReport {
-        let n = self.processors() as f64;
-        let modules = self.modules();
-        let waiting_now = self.waiting_now();
-        let mut driver = MimdDriver {
-            pending: &mut self.pending,
-            rng: &mut self.rng,
-            rate: self.rate,
-            policy: self.policy,
-            modules,
-            processors: n,
-            warmup: warmup as u64,
-            waiting_now,
-            waiting: RunningStats::new(),
-            acceptance: RunningStats::new(),
-            offered: 0,
-            delivered: 0,
-        };
-        self.sim.run_session(
-            &mut self.session,
-            &mut driver,
-            warmup as u64 + cycles as u64,
-        );
-        let acceptance_mean = if driver.offered == 0 {
-            1.0
-        } else {
-            driver.delivered as f64 / driver.offered as f64
-        };
-        MimdReport {
-            cycles,
-            offered: driver.offered,
-            delivered: driver.delivered,
-            acceptance: acceptance_mean,
-            waiting_fraction: driver.waiting.mean(),
-            effective_rate: driver.offered as f64 / (cycles as f64 * n),
-            bandwidth: driver.delivered as f64 / cycles as f64,
-            acceptance_std_error: driver.acceptance.std_error(),
-        }
-    }
-
-    /// The pre-session `run`: the caller drives [`MimdSystem::step`] once
-    /// per cycle. Retained as the differential oracle — given identically
-    /// seeded systems, [`MimdSystem::run`] must reproduce this loop's
-    /// report bit-for-bit.
-    pub fn run_caller_driven(&mut self, warmup: u32, cycles: u32) -> MimdReport {
-        for _ in 0..warmup {
-            self.step();
-        }
-        let n = self.processors() as f64;
-        let mut offered_total = 0u64;
-        let mut delivered_total = 0u64;
-        let mut waiting = RunningStats::new();
-        let mut acceptance = RunningStats::new();
-        for _ in 0..cycles {
-            // Waiting fraction sampled *before* the cycle, matching q_W.
-            waiting.push(self.waiting_now() as f64 / n);
-            let (offered, delivered) = self.step();
-            offered_total += offered as u64;
-            delivered_total += delivered as u64;
-            if offered > 0 {
-                acceptance.push(delivered as f64 / offered as f64);
-            }
-        }
-        let acceptance_mean = if offered_total == 0 {
-            1.0
-        } else {
-            delivered_total as f64 / offered_total as f64
-        };
-        MimdReport {
-            cycles,
-            offered: offered_total,
-            delivered: delivered_total,
-            acceptance: acceptance_mean,
-            waiting_fraction: waiting.mean(),
-            effective_rate: offered_total as f64 / (cycles as f64 * n),
-            bandwidth: delivered_total as f64 / cycles as f64,
-            acceptance_std_error: acceptance.std_error(),
-        }
+        let (mut driver, sim, session) = self.driver(warmup as u64);
+        sim.run_session(session, &mut driver, warmup as u64 + cycles as u64);
+        driver.report(cycles)
     }
 }
 
@@ -436,11 +379,32 @@ mod tests {
         .is_err());
     }
 
+    /// `system.run(warmup, cycles)` with every cycle routed by the
+    /// caller-driven [`edn_core::reference::step_driver`] over `arbiter`
+    /// instead of the system's session.
+    fn run_on_reference(
+        system: &mut MimdSystem,
+        arbiter: &mut dyn edn_core::Arbiter,
+        warmup: u32,
+        cycles: u32,
+    ) -> MimdReport {
+        let (mut driver, sim, _) = system.driver(warmup as u64);
+        edn_core::reference::step_driver(
+            sim.topology(),
+            &mut driver,
+            arbiter,
+            warmup as u64 + cycles as u64,
+        );
+        driver.report(cycles)
+    }
+
     #[test]
     fn session_run_is_bit_identical_to_caller_driven_loop() {
-        // The resident-session path must reproduce the legacy per-cycle
-        // loop exactly: same RNG draws, same stats accumulation order,
-        // hence a bit-for-bit equal report (f64 fields included).
+        // The resident-session path must reproduce the same processor
+        // model stepped cycle by cycle over the reference router with an
+        // identically seeded arbiter: same RNG draws, same stats
+        // accumulation order, hence a bit-for-bit equal report (f64
+        // fields included).
         for (policy, rate, seed) in [
             (ResubmitPolicy::Redraw, 0.6, 11u64),
             (ResubmitPolicy::SameDestination, 0.9, 12),
@@ -454,14 +418,18 @@ mod tests {
             ] {
                 let mut session = MimdSystem::new(params(), rate, arbiter, policy, seed).unwrap();
                 let mut legacy = MimdSystem::new(params(), rate, arbiter, policy, seed).unwrap();
+                let mut legacy_arbiter = arbiter.build(seed ^ ARBITER_SALT);
                 let a = session.run(40, 110);
-                let b = legacy.run_caller_driven(40, 110);
+                let b = run_on_reference(&mut legacy, legacy_arbiter.as_mut(), 40, 110);
                 assert_eq!(a, b, "policy {policy:?} rate {rate} arbiter {arbiter:?}");
                 // And again on the same systems: buffer reuse must not
-                // perturb the streams.
+                // perturb the streams. A single `step` in between is one
+                // cycle of the same model on both sides.
+                session.step();
+                run_on_reference(&mut legacy, legacy_arbiter.as_mut(), 1, 0);
                 assert_eq!(
                     session.run(10, 60),
-                    legacy.run_caller_driven(10, 60),
+                    run_on_reference(&mut legacy, legacy_arbiter.as_mut(), 10, 60),
                     "second run, policy {policy:?} rate {rate} arbiter {arbiter:?}"
                 );
             }

@@ -54,9 +54,8 @@ impl AcceptanceEstimate {
 /// loop no longer round-trips through this caller. One [`NetworkSim`]
 /// (hence one routing engine) and one session request buffer are reused
 /// across all cycles, so the measurement loop performs no steady-state
-/// allocations. Bit-identical to the caller-driven
-/// [`estimate_pa_with_reference`] oracle (asserted by the differential
-/// tests).
+/// allocations. The differential tests assert it is bit-identical to
+/// the same workload stepped by [`edn_core::reference::step_driver`].
 pub fn estimate_pa_with<W: Workload>(
     params: &EdnParams,
     workload: &mut W,
@@ -72,6 +71,62 @@ pub fn estimate_pa_with<W: Workload>(
 /// never coincides with the workload stream seeded with `s`.
 const ARBITER_SALT: u64 = 0xA5A5_5A5A_A5A5_5A5A;
 
+/// A [`Workload`] as a session driver: refill the batch every cycle, fold
+/// per-cycle acceptance into running statistics.
+struct WorkloadDriver<'a, W> {
+    workload: &'a mut W,
+    rng: &'a mut StdRng,
+    per_cycle: RunningStats,
+    offered: u64,
+    delivered: u64,
+}
+
+impl<'a, W: Workload> WorkloadDriver<'a, W> {
+    fn new(workload: &'a mut W, rng: &'a mut StdRng) -> Self {
+        WorkloadDriver {
+            workload,
+            rng,
+            per_cycle: RunningStats::new(),
+            offered: 0,
+            delivered: 0,
+        }
+    }
+
+    /// The estimate over the `cycles` cycles driven so far.
+    fn estimate(&self, cycles: u32) -> AcceptanceEstimate {
+        let mean = if self.offered == 0 {
+            1.0
+        } else {
+            self.delivered as f64 / self.offered as f64
+        };
+        AcceptanceEstimate {
+            mean,
+            std_error: self.per_cycle.std_error(),
+            cycles,
+            offered: self.offered,
+            delivered: self.delivered,
+        }
+    }
+}
+
+impl<W: Workload> CycleDriver for WorkloadDriver<'_, W> {
+    fn fill_cycle(&mut self, _cycle: u64, requests: &mut Vec<RouteRequest>) {
+        self.workload.fill_batch(requests, self.rng);
+    }
+
+    fn absorb(&mut self, _cycle: u64, outcome: &BatchOutcomeView) {
+        if outcome.offered() == 0 {
+            // An empty cycle is vacuously perfect (and routes nothing, so
+            // the arbiter streams are untouched).
+            self.per_cycle.push(1.0);
+            return;
+        }
+        self.offered += outcome.offered() as u64;
+        self.delivered += outcome.delivered_count() as u64;
+        self.per_cycle.push(outcome.acceptance_rate());
+    }
+}
+
 /// [`estimate_pa_with`] on a freshly built simulator `sim` (its arbiter
 /// already seeded for `seed`).
 fn estimate_on<W: Workload>(
@@ -80,97 +135,11 @@ fn estimate_on<W: Workload>(
     cycles: u32,
     seed: u64,
 ) -> AcceptanceEstimate {
-    /// A [`Workload`] as a session driver: refill the batch every cycle,
-    /// fold per-cycle acceptance into running statistics.
-    struct WorkloadDriver<'a, W> {
-        workload: &'a mut W,
-        rng: &'a mut StdRng,
-        per_cycle: RunningStats,
-        offered: u64,
-        delivered: u64,
-    }
-    impl<W: Workload> CycleDriver for WorkloadDriver<'_, W> {
-        fn fill_cycle(&mut self, _cycle: u64, requests: &mut Vec<RouteRequest>) {
-            self.workload.fill_batch(requests, self.rng);
-        }
-        fn absorb(&mut self, _cycle: u64, outcome: &BatchOutcomeView) {
-            if outcome.offered() == 0 {
-                // An empty cycle is vacuously perfect (and routes nothing,
-                // so the arbiter streams are untouched — exactly the
-                // legacy loop's `continue`).
-                self.per_cycle.push(1.0);
-                return;
-            }
-            self.offered += outcome.offered() as u64;
-            self.delivered += outcome.delivered_count() as u64;
-            self.per_cycle.push(outcome.acceptance_rate());
-        }
-    }
-
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = SessionState::new();
-    let mut driver = WorkloadDriver {
-        workload,
-        rng: &mut rng,
-        per_cycle: RunningStats::new(),
-        offered: 0,
-        delivered: 0,
-    };
+    let mut driver = WorkloadDriver::new(workload, &mut rng);
     sim.run_session(&mut state, &mut driver, cycles as u64);
-    let mean = if driver.offered == 0 {
-        1.0
-    } else {
-        driver.delivered as f64 / driver.offered as f64
-    };
-    AcceptanceEstimate {
-        mean,
-        std_error: driver.per_cycle.std_error(),
-        cycles,
-        offered: driver.offered,
-        delivered: driver.delivered,
-    }
-}
-
-/// The pre-session `estimate_pa_with`: the caller drives
-/// [`NetworkSim::route_cycle_view`] once per cycle. Retained as the
-/// differential oracle — [`estimate_pa_with`] must reproduce this loop's
-/// estimate bit-for-bit for any workload and seed.
-pub fn estimate_pa_with_reference<W: Workload>(
-    params: &EdnParams,
-    workload: &mut W,
-    arbiter: ArbiterKind,
-    cycles: u32,
-    seed: u64,
-) -> AcceptanceEstimate {
-    let mut sim = NetworkSim::new(*params, arbiter, seed ^ ARBITER_SALT);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Vec::with_capacity(params.inputs() as usize);
-    let mut per_cycle = RunningStats::new();
-    let mut offered_total = 0u64;
-    let mut delivered_total = 0u64;
-    for _ in 0..cycles {
-        workload.fill_batch(&mut batch, &mut rng);
-        if batch.is_empty() {
-            per_cycle.push(1.0);
-            continue;
-        }
-        let outcome = sim.route_cycle_view(&batch);
-        offered_total += outcome.offered() as u64;
-        delivered_total += outcome.delivered_count() as u64;
-        per_cycle.push(outcome.acceptance_rate());
-    }
-    let mean = if offered_total == 0 {
-        1.0
-    } else {
-        delivered_total as f64 / offered_total as f64
-    };
-    AcceptanceEstimate {
-        mean,
-        std_error: per_cycle.std_error(),
-        cycles,
-        offered: offered_total,
-        delivered: delivered_total,
-    }
+    driver.estimate(cycles)
 }
 
 /// Measures acceptance once per seed of a seed axis: `workload_for(seed)`
@@ -264,11 +233,6 @@ pub fn estimate_pa_permutation(
         rate: f64,
     }
     impl Workload for PermutationWorkload {
-        fn next_batch(&mut self, rng: &mut StdRng) -> Vec<edn_core::RouteRequest> {
-            let mut batch = Vec::new();
-            self.fill_batch(&mut batch, rng);
-            batch
-        }
         fn fill_batch(&mut self, batch: &mut Vec<edn_core::RouteRequest>, rng: &mut StdRng) {
             self.perm.randomize_in_place(rng);
             if self.rate >= 1.0 {
@@ -356,49 +320,6 @@ where
     edn_sweep::map_slice_with(0, seeds, init, |state, &seed| f(state, seed))
 }
 
-/// The pre-pool `map_seeds_with`: fixed contiguous chunks, one OS thread
-/// per chunk, no stealing.
-///
-/// Retained as the differential baseline: the `seed_sweep` Criterion
-/// bench and the equivalence tests below pit the work-stealing pool
-/// against it. A sweep whose cost is concentrated in one chunk (the
-/// RA-EDN pathology) serializes here on that chunk's thread; new code
-/// should call [`map_seeds_with`].
-pub fn map_seeds_chunked_with<S, T, I, F>(seeds: &[u64], threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> T + Sync,
-{
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let threads = if threads == 0 {
-        edn_sweep::default_threads()
-    } else {
-        threads
-    };
-    let chunk = seeds.len().div_ceil(threads);
-    let mut results: Vec<Option<T>> = Vec::with_capacity(seeds.len());
-    results.resize_with(seeds.len(), || None);
-    let init = &init;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (seed_chunk, out_chunk) in seeds.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut state = init();
-                for (&seed, slot) in seed_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(&mut state, seed));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| slot.expect("every slot is filled by its thread"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,11 +387,29 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// `estimate_pa_with` with every cycle routed by the caller-driven
+    /// [`edn_core::reference::step_driver`] instead of a session.
+    fn estimate_on_reference<W: Workload>(
+        params: &EdnParams,
+        workload: &mut W,
+        arbiter: ArbiterKind,
+        cycles: u32,
+        seed: u64,
+    ) -> AcceptanceEstimate {
+        let topology = edn_core::EdnTopology::new(*params);
+        let mut arbiter = arbiter.build(seed ^ ARBITER_SALT);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut driver = WorkloadDriver::new(workload, &mut rng);
+        edn_core::reference::step_driver(&topology, &mut driver, arbiter.as_mut(), cycles as u64);
+        driver.estimate(cycles)
+    }
+
     #[test]
     fn session_estimate_is_bit_identical_to_caller_driven_loop() {
-        // The session-backed estimator must reproduce the legacy
-        // route_cycle_view loop exactly, f64 fields included, for uniform
-        // and hot-spot workloads, partial loads, and every arbiter.
+        // The session-backed estimator must reproduce the same workload
+        // stepped cycle by cycle over the reference router, f64 fields
+        // included, for uniform and hot-spot workloads, partial loads,
+        // and every arbiter.
         use edn_traffic::{HotSpotTraffic, UniformTraffic};
         let params = EdnParams::new(16, 4, 4, 2).unwrap();
         for arbiter in [
@@ -483,7 +422,7 @@ mod tests {
                 let mut b = UniformTraffic::new(params.inputs(), params.outputs(), rate);
                 assert_eq!(
                     estimate_pa_with(&params, &mut a, arbiter, 40, seed),
-                    estimate_pa_with_reference(&params, &mut b, arbiter, 40, seed),
+                    estimate_on_reference(&params, &mut b, arbiter, 40, seed),
                     "uniform rate {rate} seed {seed} arbiter {arbiter:?}"
                 );
             }
@@ -491,7 +430,7 @@ mod tests {
             let mut b = HotSpotTraffic::new(params.inputs(), params.outputs(), 1.0, 7, 0.25);
             assert_eq!(
                 estimate_pa_with(&params, &mut a, arbiter, 40, 9),
-                estimate_pa_with_reference(&params, &mut b, arbiter, 40, 9),
+                estimate_on_reference(&params, &mut b, arbiter, 40, 9),
                 "hot-spot arbiter {arbiter:?}"
             );
         }
@@ -552,21 +491,6 @@ mod tests {
         let out = map_seeds(&seeds, |s| s + 1);
         assert_eq!(out, (1..38).collect::<Vec<u64>>());
         assert!(map_seeds(&[], |s| s).is_empty());
-    }
-
-    #[test]
-    fn pool_and_chunked_sweeps_agree() {
-        // The work-stealing pool must return exactly what the fixed-chunk
-        // baseline returns, for any thread count.
-        let params = EdnParams::new(16, 4, 4, 2).unwrap();
-        let seeds: Vec<u64> = (0..9).collect();
-        let measure =
-            |(): &mut (), seed: u64| estimate_pa(&params, 1.0, ArbiterKind::Random, 15, seed).mean;
-        let pooled = map_seeds_with(&seeds, || (), measure);
-        for threads in [1, 3] {
-            let chunked = map_seeds_chunked_with(&seeds, threads, || (), measure);
-            assert_eq!(pooled, chunked, "threads {threads}");
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The seeded, arbitrated network simulator.
 
 use edn_core::{
-    compile_shared, Arbiter, BatchOutcome, BatchOutcomeView, ClusterSchedule, CompiledWiring,
-    CycleDriver, EdnParams, EdnTopology, PriorityArbiter, RandomArbiter, Resubmit,
-    RoundRobinArbiter, RouteRequest, RoutingEngine, SessionState,
+    compile_shared, Arbiter, BatchOutcomeView, ClusterSchedule, CompiledWiring, CycleDriver,
+    EdnParams, EdnTopology, PriorityArbiter, RandomArbiter, Resubmit, RoundRobinArbiter,
+    RouteRequest, RoutingEngine, SessionState,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,7 +54,7 @@ impl ArbiterKind {
 /// # fn main() -> Result<(), edn_core::EdnError> {
 /// let params = EdnParams::new(16, 4, 4, 2)?;
 /// let mut sim = NetworkSim::new(params, ArbiterKind::Random, 7);
-/// let outcome = sim.route_cycle(&[RouteRequest::new(3, 42)]);
+/// let outcome = sim.route_cycle_view(&[RouteRequest::new(3, 42)]);
 /// assert_eq!(outcome.delivered(), &[(3, 42)]);
 /// # Ok(())
 /// # }
@@ -116,25 +116,14 @@ impl NetworkSim {
         self.cycles_routed
     }
 
-    /// Routes one circuit-switched cycle, returning an owned outcome.
-    ///
-    /// Allocates for the returned [`BatchOutcome`]; measurement loops
-    /// should prefer [`NetworkSim::route_cycle_view`].
-    ///
-    /// # Panics
-    ///
-    /// As [`edn_core::route_batch`]: panics on duplicate sources or
-    /// out-of-range indices.
-    pub fn route_cycle(&mut self, requests: &[RouteRequest]) -> BatchOutcome {
-        self.route_cycle_view(requests).to_outcome()
-    }
-
     /// Routes one circuit-switched cycle allocation-free, returning a view
-    /// into the engine's reused buffers (overwritten by the next cycle).
+    /// into the engine's reused buffers (overwritten by the next cycle;
+    /// [`BatchOutcomeView::to_outcome`] keeps a copy).
     ///
     /// # Panics
     ///
-    /// As [`NetworkSim::route_cycle`].
+    /// As [`edn_core::RoutingEngine::route`]: panics on duplicate sources
+    /// or out-of-range indices.
     pub fn route_cycle_view(&mut self, requests: &[RouteRequest]) -> &BatchOutcomeView {
         self.cycles_routed += 1;
         self.engine.route(requests, self.arbiter.as_mut())
@@ -237,7 +226,7 @@ mod tests {
             // A displacement permutation has no output conflicts; some
             // internal blocking may still occur, but a single request never
             // blocks.
-            let outcome = sim.route_cycle(&[RouteRequest::new(5, 6)]);
+            let outcome = sim.route_cycle_view(&[RouteRequest::new(5, 6)]);
             assert_eq!(outcome.delivered_count(), 1, "{kind:?}");
         }
     }
@@ -250,10 +239,15 @@ mod tests {
         let mut a = NetworkSim::new(params(), ArbiterKind::Random, 99);
         let mut b = NetworkSim::new(params(), ArbiterKind::Random, 99);
         for _ in 0..5 {
-            assert_eq!(a.route_cycle(&requests), b.route_cycle(&requests));
+            assert_eq!(
+                a.route_cycle_view(&requests).to_outcome(),
+                b.route_cycle_view(&requests).to_outcome()
+            );
         }
         let mut c = NetworkSim::new(params(), ArbiterKind::Random, 100);
-        let differs = (0..5).any(|_| c.route_cycle(&requests) != b.route_cycle(&requests));
+        let differs = (0..5).any(|_| {
+            c.route_cycle_view(&requests).to_outcome() != b.route_cycle_view(&requests).to_outcome()
+        });
         assert!(differs, "different seeds should eventually diverge");
     }
 
@@ -262,12 +256,14 @@ mod tests {
         let requests: Vec<RouteRequest> = (0..64)
             .map(|s| RouteRequest::new(s, (s * 13 + 5) % 64))
             .collect();
-        let mut a = NetworkSim::new(params(), ArbiterKind::Random, 7);
-        let mut b = NetworkSim::new(params(), ArbiterKind::Random, 7);
+        let mut sim = NetworkSim::new(params(), ArbiterKind::Random, 7);
         for _ in 0..4 {
-            let owned = a.route_cycle(&requests);
-            let view = b.route_cycle_view(&requests);
-            assert_eq!(view.to_outcome(), owned);
+            let view = sim.route_cycle_view(&requests);
+            let owned = view.to_outcome();
+            assert_eq!(owned.delivered(), view.delivered());
+            assert_eq!(owned.blocked(), view.blocked());
+            assert_eq!(owned.offered(), view.offered());
+            assert_eq!(owned.survivors(), view.survivors());
         }
     }
 
@@ -275,8 +271,8 @@ mod tests {
     fn cycle_counter_advances() {
         let mut sim = NetworkSim::new(params(), ArbiterKind::Priority, 0);
         assert_eq!(sim.cycles_routed(), 0);
-        sim.route_cycle(&[]);
-        sim.route_cycle(&[]);
+        sim.route_cycle_view(&[]);
+        sim.route_cycle_view(&[]);
         assert_eq!(sim.cycles_routed(), 2);
     }
 

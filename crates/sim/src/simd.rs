@@ -13,11 +13,10 @@
 
 use crate::network::{ArbiterKind, NetworkSim};
 use crate::stats::RunningStats;
-use edn_core::{EdnError, EdnParams, RouteRequest, SessionState};
+use edn_core::{EdnError, EdnParams, SessionState};
 use edn_traffic::Permutation;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use rand::SeedableRng;
 
 /// Which message each cluster submits per cycle.
 ///
@@ -74,11 +73,8 @@ pub struct RaEdnSystem {
     sim: NetworkSim,
     q: u64,
     rng: StdRng,
-    /// Per-cycle request buffer for the caller-driven oracle path,
-    /// reused so steady-state cycles never allocate.
-    requests: Vec<RouteRequest>,
-    /// Resident session buffers (cluster queues, per-cycle counts) for
-    /// the session path, reused across permutation runs.
+    /// Resident session buffers (cluster queues, per-cycle counts),
+    /// reused across permutation runs.
     session: SessionState,
 }
 
@@ -124,7 +120,6 @@ impl RaEdnSystem {
             sim: NetworkSim::new(params, arbiter, seed ^ 0x5EED_CAFE),
             q,
             rng: StdRng::seed_from_u64(seed),
-            requests: Vec::with_capacity(params.inputs() as usize),
             session: SessionState::new(),
         })
     }
@@ -163,9 +158,9 @@ impl RaEdnSystem {
     /// engine ([`edn_core::RouteSession::run_to_completion`]): the
     /// per-cluster message queues stay resident in the session layer
     /// instead of round-tripping through the caller once per cycle, and
-    /// repeated runs reuse every buffer. Bit-identical to the
-    /// caller-driven [`RaEdnSystem::route_permutation_caller_driven`]
-    /// oracle (asserted by the differential tests).
+    /// repeated runs reuse every buffer. The `session_vs_loop` property
+    /// tests in `edn-core` assert cluster sessions bit-identical to an
+    /// independent caller-driven cluster-queue loop.
     ///
     /// # Panics
     ///
@@ -200,100 +195,6 @@ impl RaEdnSystem {
             cycles: u32::try_from(cycles).expect("cycle count bounded by p*q*64 safety limit"),
             delivered_per_cycle: self.session.delivered_per_cycle().to_vec(),
             total_messages: total,
-        }
-    }
-
-    /// The pre-session `route_permutation_scheduled`: the caller owns the
-    /// pending queues and drives one engine cycle per iteration. Retained
-    /// as the differential oracle — given identically seeded systems,
-    /// [`RaEdnSystem::route_permutation_scheduled`] must reproduce this
-    /// loop's run bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// As [`RaEdnSystem::route_permutation`].
-    pub fn route_permutation_caller_driven(
-        &mut self,
-        permutation: &Permutation,
-        schedule: Schedule,
-    ) -> PermutationRun {
-        assert_eq!(
-            permutation.len(),
-            self.processors(),
-            "permutation must cover all p*q processors"
-        );
-        let q = self.q;
-        let ports = self.ports();
-        // Undelivered destination PEs, grouped by source cluster.
-        let mut pending: Vec<Vec<u64>> =
-            (0..ports).map(|_| Vec::with_capacity(q as usize)).collect();
-        for pe in 0..self.processors() {
-            pending[(pe / q) as usize].push(permutation.apply(pe));
-        }
-
-        let mut delivered_per_cycle = Vec::new();
-        let mut remaining = self.processors();
-        // Safety bound: even a pathological schedule delivers at least one
-        // message per cycle, so p*q cycles times a wide margin suffices.
-        let cycle_limit = (self.processors() * 64).max(1024);
-        let mut selected: Vec<usize> = vec![0; ports as usize];
-        let mut claimed: BTreeSet<u64> = BTreeSet::new();
-        while remaining > 0 {
-            let cycle_index = delivered_per_cycle.len() as u64;
-            assert!(
-                cycle_index < cycle_limit,
-                "no forward progress after {cycle_index} cycles"
-            );
-            self.requests.clear();
-            match schedule {
-                Schedule::Random => {
-                    for (cluster, queue) in pending.iter().enumerate() {
-                        if queue.is_empty() {
-                            continue;
-                        }
-                        let pick = self.rng.gen_range(0..queue.len());
-                        selected[cluster] = pick;
-                        // The routing header x_i is the destination cluster.
-                        self.requests
-                            .push(RouteRequest::new(cluster as u64, queue[pick] / q));
-                    }
-                }
-                Schedule::GreedyDistinct => {
-                    claimed.clear();
-                    // Rotate the scan start so no cluster is permanently
-                    // advantaged.
-                    let start = (cycle_index % ports) as usize;
-                    for offset in 0..ports as usize {
-                        let cluster = (start + offset) % ports as usize;
-                        let queue = &pending[cluster];
-                        if queue.is_empty() {
-                            continue;
-                        }
-                        let pick = queue
-                            .iter()
-                            .position(|&pe| !claimed.contains(&(pe / q)))
-                            .unwrap_or_else(|| self.rng.gen_range(0..queue.len()));
-                        selected[cluster] = pick;
-                        claimed.insert(queue[pick] / q);
-                        self.requests
-                            .push(RouteRequest::new(cluster as u64, queue[pick] / q));
-                    }
-                }
-            }
-            let outcome = self.sim.route_cycle_view(&self.requests);
-            let mut delivered = 0u64;
-            for &(cluster, _) in outcome.delivered() {
-                pending[cluster as usize].swap_remove(selected[cluster as usize]);
-                delivered += 1;
-            }
-            remaining -= delivered;
-            delivered_per_cycle.push(delivered);
-        }
-        PermutationRun {
-            cycles: u32::try_from(delivered_per_cycle.len())
-                .expect("cycle count bounded by p*q*64 safety limit"),
-            delivered_per_cycle,
-            total_messages: self.processors(),
         }
     }
 
@@ -415,34 +316,6 @@ mod tests {
             t_greedy <= t_random + 1.0,
             "greedy {t_greedy} vs random {t_random}"
         );
-    }
-
-    #[test]
-    fn session_run_is_bit_identical_to_caller_driven_loop() {
-        // The cluster-session path must reproduce the legacy per-cycle
-        // loop exactly: same picks, same claims, same per-cycle counts.
-        for schedule in [Schedule::Random, Schedule::GreedyDistinct] {
-            for (b, c, l, q, seed) in [(4u64, 2u64, 2u32, 4u64, 31u64), (4, 2, 1, 3, 32)] {
-                let mut session = RaEdnSystem::new(b, c, l, q, ArbiterKind::Random, seed).unwrap();
-                let mut legacy = RaEdnSystem::new(b, c, l, q, ArbiterKind::Random, seed).unwrap();
-                let perm = Permutation::random(
-                    session.processors(),
-                    &mut rand::rngs::StdRng::seed_from_u64(seed ^ 0xF00D),
-                );
-                assert_eq!(
-                    session.route_permutation_scheduled(&perm, schedule),
-                    legacy.route_permutation_caller_driven(&perm, schedule),
-                    "schedule {schedule:?} RA-EDN({b},{c},{l},{q})"
-                );
-                // Back-to-back runs on the same systems: queue/buffer
-                // reuse must not perturb the streams.
-                assert_eq!(
-                    session.route_permutation_scheduled(&perm, schedule),
-                    legacy.route_permutation_caller_driven(&perm, schedule),
-                    "second run, schedule {schedule:?} RA-EDN({b},{c},{l},{q})"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1391,7 +1391,7 @@ mod tests {
         let batch: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, s % params.outputs()))
             .collect();
-        engine.route_probed(&batch, &mut PriorityArbiter::new(), &mut probe);
+        engine.route_with(&batch, None, &mut PriorityArbiter::new(), &mut probe);
         emit.record_run_metrics("full load", &probe.snapshot());
         emit.finish();
         let text = std::fs::read_to_string(out.with_extension("metrics.jsonl")).unwrap();

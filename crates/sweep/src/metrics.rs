@@ -751,7 +751,7 @@ mod tests {
             .map(|s| RouteRequest::new(s, (s * 7 + 3) % params.outputs()))
             .collect();
         let delivered = engine
-            .route_probed(&batch, &mut PriorityArbiter::new(), &mut probe)
+            .route_with(&batch, None, &mut PriorityArbiter::new(), &mut probe)
             .delivered_count();
         let metrics = probe.snapshot();
         let line = render_run_metrics("EDN(16,4,4,2) full load", &metrics);

@@ -182,7 +182,7 @@ impl SweepWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edn_core::PriorityArbiter;
+    use edn_core::{NullProbe, PriorityArbiter};
 
     fn params(a: u64, b: u64, c: u64, l: u32) -> EdnParams {
         EdnParams::new(a, b, c, l).unwrap()
@@ -289,7 +289,12 @@ mod tests {
         assert_eq!(*faults, expected);
         requests.clear();
         requests.extend((0..16).map(|s| RouteRequest::new(s, s)));
-        let outcome = engine.route_faulty(requests, faults, &mut PriorityArbiter::new());
+        let outcome = engine.route_with(
+            requests,
+            Some(faults),
+            &mut PriorityArbiter::new(),
+            &mut NullProbe,
+        );
         assert_eq!(outcome.offered(), 16);
         assert_eq!(worker.engines_built(), 1);
     }

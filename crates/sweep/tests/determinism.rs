@@ -5,7 +5,7 @@
 //! identity or execution order.
 
 use edn_core::{
-    ClusterSchedule, EdnParams, PriorityArbiter, RandomArbiter, Resubmit, RouteRequest,
+    ClusterSchedule, EdnParams, NullProbe, PriorityArbiter, RandomArbiter, Resubmit, RouteRequest,
 };
 use edn_sweep::{SweepPoint, SweepSpec, SweepWorker};
 use rand::rngs::StdRng;
@@ -31,11 +31,8 @@ fn measure(worker: &mut SweepWorker, point: &SweepPoint) -> (usize, u64, u64) {
             }
         }
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(point.rng_seed() ^ 0xA5A5));
-        let outcome = if point.fault_fraction > 0.0 {
-            engine.route_faulty(requests, faults, &mut arbiter)
-        } else {
-            engine.route(requests, &mut arbiter)
-        };
+        let faults = (point.fault_fraction > 0.0).then_some(faults);
+        let outcome = engine.route_with(requests, faults, &mut arbiter, &mut NullProbe);
         delivered += outcome.delivered_count() as u64;
         offered += outcome.offered() as u64;
     }

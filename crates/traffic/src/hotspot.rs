@@ -79,12 +79,6 @@ impl HotSpotTraffic {
 }
 
 impl Workload for HotSpotTraffic {
-    fn next_batch(&mut self, rng: &mut StdRng) -> Vec<RouteRequest> {
-        let mut batch = Vec::new();
-        self.fill_batch(&mut batch, rng);
-        batch
-    }
-
     fn fill_batch(&mut self, batch: &mut Vec<RouteRequest>, rng: &mut StdRng) {
         batch.clear();
         for source in 0..self.inputs {

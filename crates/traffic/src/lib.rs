@@ -14,7 +14,7 @@
 //!   paper's multipath design targets.
 //!
 //! All generators produce batches of [`edn_core::RouteRequest`] ready for
-//! `edn_core::route_batch` or the `edn-sim` system simulators.
+//! `edn_core::RoutingEngine::route` or the `edn-sim` system simulators.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,19 +35,19 @@ use rand::rngs::StdRng;
 /// Implementations are deterministic given the RNG: replaying the same
 /// seed replays the same workload.
 pub trait Workload {
-    /// Produces the next cycle's batch of requests.
-    fn next_batch(&mut self, rng: &mut StdRng) -> Vec<RouteRequest>;
-
     /// Writes the next cycle's batch into `batch` (cleared first), reusing
     /// its capacity.
     ///
     /// This is the hot-path entry: Monte-Carlo drivers call it with one
-    /// long-lived buffer so steady-state cycles never allocate. The
-    /// default implementation delegates to [`Workload::next_batch`] for
-    /// back-compatibility; the generators in this crate override it with
-    /// allocation-free fills that draw the identical RNG stream.
-    fn fill_batch(&mut self, batch: &mut Vec<RouteRequest>, rng: &mut StdRng) {
-        *batch = self.next_batch(rng);
+    /// long-lived buffer so steady-state cycles never allocate.
+    fn fill_batch(&mut self, batch: &mut Vec<RouteRequest>, rng: &mut StdRng);
+
+    /// Produces the next cycle's batch of requests in a fresh `Vec`,
+    /// drawing the same RNG stream as [`Workload::fill_batch`].
+    fn next_batch(&mut self, rng: &mut StdRng) -> Vec<RouteRequest> {
+        let mut batch = Vec::new();
+        self.fill_batch(&mut batch, rng);
+        batch
     }
 
     /// The number of network inputs this workload drives.

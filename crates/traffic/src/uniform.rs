@@ -61,12 +61,6 @@ impl UniformTraffic {
 }
 
 impl Workload for UniformTraffic {
-    fn next_batch(&mut self, rng: &mut StdRng) -> Vec<RouteRequest> {
-        let mut batch = Vec::new();
-        self.fill_batch(&mut batch, rng);
-        batch
-    }
-
     fn fill_batch(&mut self, batch: &mut Vec<RouteRequest>, rng: &mut StdRng) {
         batch.clear();
         for source in 0..self.inputs {

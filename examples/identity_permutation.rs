@@ -14,18 +14,17 @@
 //! ```
 
 use edn::core::EdnError;
-use edn::core::{route_batch, route_batch_reordered};
-use edn::{EdnParams, EdnTopology, PriorityArbiter, RetirementOrder, RouteRequest};
+use edn::{EdnParams, PriorityArbiter, RetirementOrder, RouteRequest, RoutingEngine};
 
 fn main() -> Result<(), EdnError> {
     let params = EdnParams::new(64, 16, 4, 2)?;
-    let topology = EdnTopology::new(params);
+    let mut engine = RoutingEngine::from_params(params);
     let identity: Vec<RouteRequest> = (0..params.inputs())
         .map(|s| RouteRequest::new(s, s))
         .collect();
 
     // Unmodified network (Figure 5).
-    let outcome = route_batch(&topology, &identity, &mut PriorityArbiter::new());
+    let outcome = engine.route(&identity, &mut PriorityArbiter::new());
     println!("unmodified {params} on the identity permutation:");
     println!(
         "  survivors per stage: {:?}  (offered, after stage 1, after stage 2, delivered)",
@@ -45,7 +44,7 @@ fn main() -> Result<(), EdnError> {
 
     // Figure 6: reorder retirement + inverse permutation at the output.
     let order = RetirementOrder::rotate_left(params.output_bits(), params.log2_b())?;
-    let fixed = route_batch_reordered(&topology, &identity, &order, &mut PriorityArbiter::new());
+    let fixed = engine.route_reordered(&identity, &order, &mut PriorityArbiter::new());
     println!("with bit-rotated retirement and the inverse output stage (Corollary 2):");
     println!("  survivors per stage: {:?}", fixed.survivors());
     println!(

@@ -10,7 +10,7 @@
 use edn::analytic::pa::probability_of_acceptance;
 use edn::core::EdnError;
 use edn::traffic::Permutation;
-use edn::{route_batch, EdnParams, EdnTopology, PriorityArbiter, RouteRequest, RoutingEngine};
+use edn::{EdnParams, PriorityArbiter, RouteRequest, RoutingEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,11 +27,13 @@ fn main() -> Result<(), EdnError> {
     );
     println!("  paths per pair = c^l = {}", params.path_count());
 
-    // 2. Wire it up.
-    let topology = EdnTopology::new(params);
+    // 2. Wire it up. A RoutingEngine is built once and reuses every
+    //    per-cycle buffer, so repeated routing is allocation-free (this is
+    //    what the simulators in `edn::sim` do).
+    let mut engine = RoutingEngine::from_params(params);
 
     // 3. Any single message always reaches its destination (Theorem 1).
-    let trace = topology.trace_path(5, 42, &[0, 0])?;
+    let trace = engine.topology().trace_path(5, 42, &[0, 0])?;
     println!(
         "\nTheorem 1: input 5 -> output {} via lines {:?}",
         trace.output(),
@@ -42,7 +44,7 @@ fn main() -> Result<(), EdnError> {
     let mut rng = StdRng::seed_from_u64(2024);
     let permutation = Permutation::random(params.inputs(), &mut rng);
     let requests: Vec<RouteRequest> = permutation.to_requests();
-    let outcome = route_batch(&topology, &requests, &mut PriorityArbiter::new());
+    let outcome = engine.route(&requests, &mut PriorityArbiter::new());
     println!(
         "\nrandom permutation: {} of {} delivered in one pass (acceptance {:.3})",
         outcome.delivered_count(),
@@ -60,10 +62,7 @@ fn main() -> Result<(), EdnError> {
     }
     println!("\nall delivered messages verified at their destinations");
 
-    // 7. For anything beyond a one-off cycle, hold a RoutingEngine: it is
-    //    built once and reuses every per-cycle buffer, so repeated routing
-    //    is allocation-free (this is what the simulators in `edn::sim` do).
-    let mut engine = RoutingEngine::from_params(params);
+    // 7. Keep routing through the same engine, one cycle per call.
     let mut arbiter = PriorityArbiter::new();
     let mut permutation = permutation;
     let mut batch = requests;

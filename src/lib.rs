@@ -42,7 +42,6 @@ pub use edn_sweep as sweep;
 pub use edn_traffic as traffic;
 
 pub use edn_core::{
-    route_batch, route_batch_reordered, BatchOutcome, BatchOutcomeView, DestTag, EdnError,
-    EdnParams, EdnTopology, Gamma, Hyperbar, PriorityArbiter, RandomArbiter, RetirementOrder,
-    RouteRequest, RoutingEngine, SourceAddress,
+    BatchOutcome, BatchOutcomeView, DestTag, EdnError, EdnParams, EdnTopology, Gamma, Hyperbar,
+    PriorityArbiter, RandomArbiter, RetirementOrder, RouteRequest, RoutingEngine, SourceAddress,
 };

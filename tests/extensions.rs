@@ -3,49 +3,34 @@
 
 use edn::analytic::design::{cheapest_meeting, deepest_at_acceptance};
 use edn::analytic::pa::probability_of_acceptance;
-use edn::core::{route_batch_faulty, route_one_with_faults, FaultRouting, FaultSet};
+use edn::core::{route_one_with_faults, FaultRouting, FaultSet, NullProbe};
 use edn::sim::{ArbiterKind, RaEdnSystem, Schedule};
 use edn::traffic::Permutation;
-use edn::{EdnParams, EdnTopology, PriorityArbiter, RouteRequest};
+use edn::{EdnParams, EdnTopology, PriorityArbiter, RouteRequest, RoutingEngine};
 
 #[test]
 fn multipath_degrades_gracefully_delta_does_not() {
     // At equal ports and equal fault rate, the EDN's delivered fraction
     // falls smoothly while the delta's collapses with severed pairs.
-    let edn = EdnTopology::new(EdnParams::new(16, 4, 4, 3).unwrap());
-    let delta = EdnTopology::new(EdnParams::new(4, 4, 1, 4).unwrap());
+    let edn = EdnParams::new(16, 4, 4, 3).unwrap();
+    let delta = EdnParams::new(4, 4, 1, 4).unwrap();
     let requests: Vec<RouteRequest> = (0..256u64)
         .map(|s| RouteRequest::new(s, (s * 29 + 5) % 256))
         .collect();
-    let healthy_edn = route_batch_faulty(
-        &edn,
-        &requests,
-        &FaultSet::none(edn.params()),
-        &mut PriorityArbiter::new(),
-    )
-    .delivered_count() as f64;
-    let healthy_delta = route_batch_faulty(
-        &delta,
-        &requests,
-        &FaultSet::none(delta.params()),
-        &mut PriorityArbiter::new(),
-    )
-    .delivered_count() as f64;
-
-    let faulty_edn = route_batch_faulty(
-        &edn,
-        &requests,
-        &FaultSet::random(edn.params(), 0.1, 3),
-        &mut PriorityArbiter::new(),
-    )
-    .delivered_count() as f64;
-    let faulty_delta = route_batch_faulty(
-        &delta,
-        &requests,
-        &FaultSet::random(delta.params(), 0.1, 3),
-        &mut PriorityArbiter::new(),
-    )
-    .delivered_count() as f64;
+    let delivered = |params: &EdnParams, faults: &FaultSet| {
+        RoutingEngine::from_params(*params)
+            .route_with(
+                &requests,
+                Some(faults),
+                &mut PriorityArbiter::new(),
+                &mut NullProbe,
+            )
+            .delivered_count() as f64
+    };
+    let healthy_edn = delivered(&edn, &FaultSet::none(&edn));
+    let healthy_delta = delivered(&delta, &FaultSet::none(&delta));
+    let faulty_edn = delivered(&edn, &FaultSet::random(&edn, 0.1, 3));
+    let faulty_delta = delivered(&delta, &FaultSet::random(&delta, 0.1, 3));
 
     let edn_retained = faulty_edn / healthy_edn;
     let delta_retained = faulty_delta / healthy_delta;
@@ -60,6 +45,7 @@ fn fault_connectivity_matches_batch_routing_reachability() {
     // If route_one_with_faults says a pair is severed, a single-request
     // batch must also fail, and vice versa.
     let topology = EdnTopology::new(EdnParams::new(8, 4, 2, 3).unwrap());
+    let mut engine = RoutingEngine::new(topology.clone());
     let faults = FaultSet::random(topology.params(), 0.15, 77);
     for i in 0..200u64 {
         let source = (i * 37) % topology.params().inputs();
@@ -68,11 +54,11 @@ fn fault_connectivity_matches_batch_routing_reachability() {
             route_one_with_faults(&topology, &faults, source, tag).unwrap(),
             FaultRouting::Delivered(_)
         );
-        let outcome = route_batch_faulty(
-            &topology,
+        let outcome = engine.route_with(
             &[RouteRequest::new(source, tag)],
-            &faults,
+            Some(&faults),
             &mut PriorityArbiter::new(),
+            &mut NullProbe,
         );
         assert_eq!(
             connected,

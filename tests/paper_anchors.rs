@@ -7,9 +7,11 @@ use edn::analytic::simd::RaEdnModel;
 use edn::core::cost::{
     crosspoint_cost, crosspoint_cost_closed_form, wire_cost, wire_cost_closed_form,
 };
-use edn::core::{route_batch, route_batch_reordered, NetworkClass};
+use edn::core::NetworkClass;
 use edn::sim::{ArbiterKind, MimdSystem, RaEdnSystem, ResubmitPolicy};
-use edn::{EdnParams, EdnTopology, Hyperbar, PriorityArbiter, RetirementOrder, RouteRequest};
+use edn::{
+    EdnParams, EdnTopology, Hyperbar, PriorityArbiter, RetirementOrder, RouteRequest, RoutingEngine,
+};
 
 /// Section 5.1: "In this system PA(1) = .544."
 #[test]
@@ -82,16 +84,16 @@ fn degenerate_classes() {
 #[test]
 fn figures5_6_identity() {
     let params = EdnParams::new(64, 16, 4, 2).unwrap();
-    let topology = EdnTopology::new(params);
+    let mut engine = RoutingEngine::from_params(params);
     let identity: Vec<RouteRequest> = (0..params.inputs())
         .map(|s| RouteRequest::new(s, s))
         .collect();
 
-    let plain = route_batch(&topology, &identity, &mut PriorityArbiter::new());
+    let plain = engine.route(&identity, &mut PriorityArbiter::new());
     assert_eq!(plain.delivered_count(), 64);
 
     let order = RetirementOrder::rotate_left(params.output_bits(), params.log2_b()).unwrap();
-    let fixed = route_batch_reordered(&topology, &identity, &order, &mut PriorityArbiter::new());
+    let fixed = engine.route_reordered(&identity, &order, &mut PriorityArbiter::new());
     assert_eq!(fixed.delivered_count(), 1024);
     assert!(fixed.delivered().iter().all(|&(s, o)| s == o));
 }

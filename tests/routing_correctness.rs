@@ -3,8 +3,8 @@
 
 use edn::traffic::Permutation;
 use edn::{
-    route_batch, route_batch_reordered, EdnParams, EdnTopology, PriorityArbiter, RandomArbiter,
-    RetirementOrder, RouteRequest,
+    EdnParams, EdnTopology, PriorityArbiter, RandomArbiter, RetirementOrder, RouteRequest,
+    RoutingEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,7 +51,7 @@ fn fabric_trace_equals_lemma1_closed_form_randomized() {
 fn every_delivered_message_lands_on_its_tag() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     for params in networks() {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(1));
         for _ in 0..10 {
             let mut requests: Vec<RouteRequest> = Vec::new();
@@ -60,7 +60,7 @@ fn every_delivered_message_lands_on_its_tag() {
                     requests.push(RouteRequest::new(s, rng.gen_range(0..params.outputs())));
                 }
             }
-            let outcome = route_batch(&topology, &requests, &mut arbiter);
+            let outcome = engine.route(&requests, &mut arbiter);
             let lookup: std::collections::HashMap<u64, u64> =
                 requests.iter().map(|r| (r.source, r.tag)).collect();
             for &(source, output) in outcome.delivered() {
@@ -79,11 +79,11 @@ fn every_delivered_message_lands_on_its_tag() {
 fn no_output_is_delivered_twice_in_a_cycle() {
     let mut rng = StdRng::seed_from_u64(0xD0);
     for params in networks() {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let requests: Vec<RouteRequest> = (0..params.inputs())
             .map(|s| RouteRequest::new(s, rng.gen_range(0..params.outputs())))
             .collect();
-        let outcome = route_batch(&topology, &requests, &mut PriorityArbiter::new());
+        let outcome = engine.route(&requests, &mut PriorityArbiter::new());
         let mut outputs: Vec<u64> = outcome.delivered().iter().map(|&(_, o)| o).collect();
         let before = outputs.len();
         outputs.sort_unstable();
@@ -96,17 +96,13 @@ fn no_output_is_delivered_twice_in_a_cycle() {
 fn corollary2_reordering_preserves_arbitrary_permutations() {
     let mut rng = StdRng::seed_from_u64(0xC2);
     for params in networks().into_iter().filter(|p| p.is_square()) {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let bits = params.output_bits();
         for rotation in [1u32, params.log2_b(), bits - 1] {
             let order = RetirementOrder::rotate_left(bits, rotation).unwrap();
             let perm = Permutation::random(params.inputs(), &mut rng);
-            let outcome = route_batch_reordered(
-                &topology,
-                &perm.to_requests(),
-                &order,
-                &mut PriorityArbiter::new(),
-            );
+            let outcome =
+                engine.route_reordered(&perm.to_requests(), &order, &mut PriorityArbiter::new());
             for &(source, output) in outcome.delivered() {
                 assert_eq!(output, perm.apply(source), "{params} rot={rotation}");
             }
@@ -118,7 +114,7 @@ fn corollary2_reordering_preserves_arbitrary_permutations() {
 fn multipass_routing_eventually_completes_any_permutation() {
     let mut rng = StdRng::seed_from_u64(0x9A55);
     for params in networks().into_iter().filter(|p| p.is_square()) {
-        let topology = EdnTopology::new(params);
+        let mut engine = RoutingEngine::from_params(params);
         let perm = Permutation::random(params.inputs(), &mut rng);
         let mut remaining = perm.to_requests();
         let mut arbiter = RandomArbiter::new(StdRng::seed_from_u64(3));
@@ -126,7 +122,7 @@ fn multipass_routing_eventually_completes_any_permutation() {
         while !remaining.is_empty() {
             passes += 1;
             assert!(passes <= 10_000, "{params}: livelock");
-            let outcome = route_batch(&topology, &remaining, &mut arbiter);
+            let outcome = engine.route(&remaining, &mut arbiter);
             let delivered: std::collections::HashSet<u64> =
                 outcome.delivered().iter().map(|&(s, _)| s).collect();
             assert!(
@@ -143,7 +139,7 @@ fn structured_permutations_route_fully_on_crossbars_only() {
     // A crossbar (c=1, l=1) routes every permutation in one pass; deeper
     // networks may or may not, but never deliver to a wrong port.
     let xbar = EdnParams::crossbar(64).unwrap();
-    let topology = EdnTopology::new(xbar);
+    let mut engine = RoutingEngine::from_params(xbar);
     for perm in [
         Permutation::identity(64),
         Permutation::bit_reversal(64).unwrap(),
@@ -151,7 +147,7 @@ fn structured_permutations_route_fully_on_crossbars_only() {
         Permutation::transpose(64).unwrap(),
         Permutation::reversal(64),
     ] {
-        let outcome = route_batch(&topology, &perm.to_requests(), &mut PriorityArbiter::new());
+        let outcome = engine.route(&perm.to_requests(), &mut PriorityArbiter::new());
         assert_eq!(outcome.delivered_count(), 64);
     }
 }
